@@ -8,7 +8,7 @@ import (
 	"pjs/internal/metrics"
 	"pjs/internal/report"
 	"pjs/internal/sched"
-	"pjs/internal/sched/easy"
+	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/speculative"
 	"pjs/internal/sched/ss"
 	"pjs/internal/stats"
@@ -307,7 +307,7 @@ func registerAblations() {
 			[]string{"EASY", "SpecBF", "TSS(SF=2 adaptive)"},
 		)
 		for col, mk := range []func() sched.Scheduler{
-			func() sched.Scheduler { return easy.New() },
+			func() sched.Scheduler { return depthbf.New(1) },
 			func() sched.Scheduler { return speculative.New(speculative.Config{}) },
 			func() sched.Scheduler { return ss.New(ss.Config{SF: 2, Adaptive: &core.AdaptiveLimits{}}) },
 		} {

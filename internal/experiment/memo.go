@@ -21,11 +21,14 @@ import (
 )
 
 // Memo container format identity. Bump memoVersion on any change to
-// the memoFile schema so stale caches regenerate instead of loading
-// garbage.
+// the memoFile schema, and on any change to a scheduler's behaviour
+// (memoKey has no behaviour version), so stale caches regenerate instead
+// of loading garbage or silently serving the old policy's results.
+// Version 2: NS counts every release at the shadow time as extra nodes,
+// and SpecBF computes its shadow the same way.
 const (
 	memoKind    = "pjsmemo"
-	memoVersion = 1
+	memoVersion = 2
 )
 
 // memoKey is everything that determines a run's outcome. It is stored

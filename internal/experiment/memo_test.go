@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pjs/internal/ckpt"
 	"pjs/internal/fault"
 	"pjs/internal/metrics"
 	"pjs/internal/workload"
@@ -115,6 +116,42 @@ func TestMemoKeyMismatchIsMiss(t *testing.T) {
 	}
 	if _, ok := b.loadMemo(bk); ok {
 		t.Error("memo entry for seed 5 was recalled for seed 6")
+	}
+}
+
+// A memo written before the last behaviour change must not answer for
+// the current policies: re-sealing a valid entry as version 1 makes it
+// a cache miss, and the sweep regenerates it.
+func TestMemoOldVersionIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	fresh := resultFingerprint(memoRunner(t, dir), NS())
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("expected one memo file: %v %v", ents, err)
+	}
+	path := filepath.Join(dir, ents[0].Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ckpt.Open(memoKind, memoVersion, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, ckpt.Seal(memoKind, 1, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := memoRunner(t, dir)
+	mk := r.memoKey(runKey{tk: traceKey{"SDSC", workload.EstimateAccurate, 100}, scheme: NS().Label, overhead: true})
+	if _, ok := r.loadMemo(mk); ok {
+		t.Fatal("a version-1 memo was recalled")
+	}
+	if got := resultFingerprint(r, NS()); got != fresh {
+		t.Errorf("regenerated result differs from fresh run:\n fresh:       %s\n regenerated: %s", fresh, got)
+	}
+	if data, err := os.ReadFile(path); err != nil || !strings.HasPrefix(string(data), "pjsmemo v2\n") {
+		t.Errorf("stale entry not rewritten at the current version (err %v)", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"pjs/internal/sched"
 	"pjs/internal/sched/conservative"
 	"pjs/internal/sched/depthbf"
-	"pjs/internal/sched/easy"
 	"pjs/internal/sched/fcfs"
 	"pjs/internal/sched/gang"
 	"pjs/internal/sched/is"
@@ -178,7 +177,7 @@ type Scheme struct {
 // NS is the non-preemptive aggressive-backfilling baseline.
 func NS() Scheme {
 	return Scheme{Label: "No Suspension", make: func(*Runner, traceKey) sched.Scheduler {
-		return easy.New()
+		return depthbf.New(1)
 	}}
 }
 

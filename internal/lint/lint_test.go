@@ -210,8 +210,9 @@ func TestDirectiveValidation(t *testing.T) {
 
 // TestStablesortCatchesReintroducedTieBug reproduces the acceptance
 // criterion end-to-end in miniature: a package with the exact pre-fix
-// easy.shadow sort shape, loaded under the easy package's import path,
-// must yield a stablesort finding at the right position.
+// easy.shadow sort shape, loaded under the import path the EASY policy
+// had before it was folded into depthbf (any path in the stablesort
+// scope will do), must yield a stablesort finding at the right position.
 func TestStablesortCatchesReintroducedTieBug(t *testing.T) {
 	dir := t.TempDir()
 	src := `package easy
@@ -574,7 +575,7 @@ func TestModulePackagesCoversTree(t *testing.T) {
 		"pjs",
 		"pjs/cmd/pjslint",
 		"pjs/internal/lint",
-		"pjs/internal/sched/easy",
+		"pjs/internal/sched/depthbf",
 		"pjs/internal/sched/speculative",
 		"pjs/internal/sim",
 	} {

@@ -1,11 +1,17 @@
 // Package depthbf implements reservation-depth backfilling, the knob
 // between the paper's two background policies: the first Depth jobs in
-// arrival order hold start-time reservations (Depth = 1 gives EASY's
-// aggressive backfilling, Depth → ∞ approaches conservative), and any
-// other queued job may start immediately iff doing so provably delays
-// none of those reservations. The legality test is exact: the
-// reservations are recomputed against a hypothetical profile that
-// includes the candidate.
+// arrival order hold start-time reservations, and any other queued job
+// may start immediately iff doing so provably delays none of those
+// reservations. Depth 1 is aggressive (EASY) backfilling, the paper's
+// non-preemptive "NS" baseline (Section II-A-2); Depth → ∞ approaches
+// conservative backfilling.
+//
+// The legality test is exact. Each pass builds one reserved profile —
+// the running jobs plus the first Depth reservations at their anchors —
+// and a candidate may start iff its processors stay free in that
+// profile until its estimated end. Starting a job only lowers the
+// profile, so no anchor can move earlier; the test admits exactly the
+// candidates that leave every anchor where it is.
 //
 // The paper's own follow-up work ("Selective reservation strategies for
 // backfill job scheduling", its reference [16]) studies exactly this
@@ -13,6 +19,8 @@
 package depthbf
 
 import (
+	"strconv"
+
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
@@ -24,6 +32,8 @@ type Sched struct {
 	depth   int
 	queue   []*job.Job
 	running []*job.Job
+	prof    sched.Profile // reserved profile of the current pass
+	anchors []int64       // reservation starts of the first depth queued jobs
 }
 
 // New returns a scheduler holding reservations for the first depth
@@ -35,23 +45,13 @@ func New(depth int) *Sched {
 	return &Sched{depth: depth}
 }
 
-// Name implements sched.Scheduler.
+// Name implements sched.Scheduler. Depth 1 is the paper's "No
+// Suspension" baseline.
 func (s *Sched) Name() string {
-	return "DepthBF(" + itoa(s.depth) + ")"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+	if s.depth == 1 {
+		return "NS"
 	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "DepthBF(" + strconv.Itoa(s.depth) + ")"
 }
 
 // Init implements sched.Scheduler.
@@ -86,7 +86,7 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.running = sched.Remove(s.running, j)
 		if !sched.Contains(s.queue, j) {
-			s.insert(j)
+			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
 	}
 	s.schedule()
@@ -95,20 +95,6 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity may advance
 // any reservation.
 func (s *Sched) OnRepair(int) { s.schedule() }
-
-// insert places j back into the queue in (submit, id) order.
-func (s *Sched) insert(j *job.Job) {
-	at := len(s.queue)
-	for i, q := range s.queue {
-		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
-			at = i
-			break
-		}
-	}
-	s.queue = append(s.queue, nil)
-	copy(s.queue[at+1:], s.queue[at:])
-	s.queue[at] = j
-}
 
 func (s *Sched) start(j *job.Job) bool {
 	if !s.env.StartFresh(j) {
@@ -119,129 +105,52 @@ func (s *Sched) start(j *job.Job) bool {
 	return true
 }
 
-// farFuture is the pseudo-anchor of a job wider than the surviving
-// machine: it cannot be profiled (subtracting it would underflow), so
-// its reservation parks unreachably far out until a repair restores
-// capacity.
-const farFuture = int64(1) << 60
-
-// profile builds the availability timeline from the running jobs, over
-// the processors currently in service.
-func (s *Sched) profile(now int64) *sched.Profile {
-	p := sched.NewProfile(now, s.env.Cluster.UpCount())
-	for _, r := range s.running {
-		end := r.LastDispatch + r.PendingRead + r.Estimate
-		if end > now {
-			p.Sub(now, end, r.Procs)
-		}
-	}
-	return p
-}
-
-// anchors computes the reservation start times of the first depth queued
-// jobs against a copy of the given profile (which is consumed).
-func (s *Sched) anchors(p *sched.Profile, now int64) []int64 {
+// reserve rebuilds the reserved profile: the running jobs, then the
+// first depth queued jobs in order, each anchored at its earliest fit.
+func (s *Sched) reserve(now int64) {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	n := s.depth
-	if n > len(s.queue) {
-		n = len(s.queue)
-	}
 	capacity := s.env.Cluster.UpCount()
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		j := s.queue[i]
+	s.prof.ResetRunning(now, capacity, s.running)
+	s.anchors = s.anchors[:0]
+	for _, j := range s.queue[:min(s.depth, len(s.queue))] {
 		if j.Procs > capacity {
-			out[i] = farFuture
+			s.anchors = append(s.anchors, sched.FarFuture)
 			continue
 		}
-		a := p.FindStart(now, j.Procs, j.Estimate)
-		p.Sub(a, a+j.Estimate, j.Procs)
-		out[i] = a
+		a := s.prof.FindStart(now, j.Procs, j.Estimate)
+		s.prof.Sub(a, a+j.Estimate, j.Procs)
+		s.anchors = append(s.anchors, a)
 	}
-	return out
 }
 
 // schedule starts every job the reservation discipline allows.
 func (s *Sched) schedule() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	for {
-		now := s.env.Now()
-		// Reserved jobs whose anchor is now start directly (in queue
-		// order; the profile already accounts for the earlier ones).
-		base := s.anchors(s.profile(now), now)
-		started := false
-		for i := 0; i < len(base); i++ {
-			if base[i] == now && s.queue[i].Procs <= s.env.Cluster.FreeUnclaimed() {
-				if s.start(s.queue[i]) {
-					started = true
-					break
-				}
-			}
-		}
-		if started {
-			continue
-		}
-		if len(s.queue) == 0 {
-			return
-		}
-		// Backfill: any other queued job may start iff the reserved
-		// anchors do not regress.
-		for i := s.depthOrLen(); i < len(s.queue); i++ {
-			c := s.queue[i]
-			if c.Procs > s.env.Cluster.FreeUnclaimed() {
-				continue
-			}
-			if s.backfillLegal(c, now, base) {
-				if s.start(c) {
-					started = true
-					break
-				}
-			}
-		}
-		if !started {
-			return
-		}
+	for s.startOne() {
 	}
 }
 
-func (s *Sched) depthOrLen() int {
-	if s.depth < len(s.queue) {
-		return s.depth
+// startOne starts one job — a reserved job whose anchor is now, else the
+// first other queued job that fits the reserved profile — and reports
+// whether it did.
+func (s *Sched) startOne() bool {
+	now := s.env.Now()
+	s.reserve(now)
+	// Reserved jobs whose anchor is now start directly (in queue order;
+	// the profile already accounts for the earlier ones).
+	for i, a := range s.anchors {
+		if a == now && s.queue[i].Procs <= s.env.Cluster.FreeUnclaimed() && s.start(s.queue[i]) {
+			return true
+		}
 	}
-	return len(s.queue)
-}
-
-// backfillLegal reports whether starting candidate c now leaves every
-// reserved job's anchor at or before its current value.
-func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
-	span := s.env.Probe().Begin()
-	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	p := s.profile(now)
-	p.Sub(now, now+c.Estimate, c.Procs)
-	capacity := s.env.Cluster.UpCount()
-	n := len(base)
-	idx := 0
-	for i := 0; i < len(s.queue) && idx < n; i++ {
-		j := s.queue[i]
-		if j == c {
-			continue
+	for _, c := range s.queue[len(s.anchors):] {
+		if c.Procs <= s.env.Cluster.FreeUnclaimed() && s.prof.Fits(now, c.Procs, c.Estimate) && s.start(c) {
+			return true
 		}
-		if j.Procs > capacity {
-			// Parked at farFuture in base too; the candidate cannot
-			// delay it further.
-			idx++
-			continue
-		}
-		a := p.FindStart(now, j.Procs, j.Estimate)
-		if a > base[idx] {
-			return false
-		}
-		p.Sub(a, a+j.Estimate, j.Procs)
-		idx++
 	}
-	return true
+	return false
 }
 
 // Depth returns the configured reservation depth (for tests).

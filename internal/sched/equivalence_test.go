@@ -8,7 +8,7 @@ import (
 	"pjs/internal/job"
 	"pjs/internal/sched"
 	"pjs/internal/sched/conservative"
-	"pjs/internal/sched/easy"
+	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/fcfs"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
@@ -35,7 +35,7 @@ func TestBackfillVariantsAgreeOnFullWidthJobs(t *testing.T) {
 			tr.Jobs = append(tr.Jobs, job.New(i+1, submit, run, run, 8))
 		}
 		var finishes [3][]int64
-		for si, s := range []sched.Scheduler{fcfs.New(), easy.New(), conservative.New()} {
+		for si, s := range []sched.Scheduler{fcfs.New(), depthbf.New(1), conservative.New()} {
 			res := sched.Run(tr, s, sched.Options{MaxSteps: 1_000_000})
 			for _, j := range res.Jobs {
 				finishes[si] = append(finishes[si], j.FinishTime)

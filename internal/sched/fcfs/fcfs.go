@@ -47,7 +47,7 @@ func (s *Sched) OnTick() {}
 // and the head is retried against the surviving machine.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.insert(j)
+		s.queue = sched.InsertBySubmit(s.queue, j)
 	}
 	s.tryStart()
 }
@@ -55,20 +55,6 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity may unblock
 // the head of the queue.
 func (s *Sched) OnRepair(int) { s.tryStart() }
-
-// insert places j back into the queue in (submit, id) order.
-func (s *Sched) insert(j *job.Job) {
-	at := len(s.queue)
-	for i, q := range s.queue {
-		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
-			at = i
-			break
-		}
-	}
-	s.queue = append(s.queue, nil)
-	copy(s.queue[at+1:], s.queue[at:])
-	s.queue[at] = j
-}
 
 // tryStart launches jobs strictly in arrival order until the head no
 // longer fits.

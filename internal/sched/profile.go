@@ -3,7 +3,21 @@ package sched
 import (
 	"fmt"
 	"sort"
+
+	"pjs/internal/job"
 )
+
+// FarFuture is the pseudo-anchor of a job wider than the surviving
+// machine: it cannot be profiled (subtracting it would underflow), so
+// its reservation parks unreachably far out until a repair restores
+// capacity.
+const FarFuture = int64(1) << 60
+
+// ProjectedEnd is the estimate-based completion time of a running job,
+// the only end the backfilling schedulers may plan with.
+func ProjectedEnd(r *job.Job) int64 {
+	return r.LastDispatch + r.PendingRead + r.Estimate
+}
 
 // Profile is a piecewise-constant timeline of free processor counts,
 // used by the backfilling schedulers to find "holes" in the 2D schedule
@@ -21,6 +35,24 @@ type profileStep struct {
 // time now on.
 func NewProfile(now int64, free int) *Profile {
 	return &Profile{steps: []profileStep{{t: now, free: free}}}
+}
+
+// Reset empties the profile to free processors everywhere from time now
+// on, reusing its storage.
+func (p *Profile) Reset(now int64, free int) {
+	p.steps = append(p.steps[:0], profileStep{t: now, free: free})
+}
+
+// ResetRunning rebuilds the profile as the availability timeline of the
+// running jobs over up in-service processors, from time now on, each
+// job holding its processors until its projected end.
+func (p *Profile) ResetRunning(now int64, up int, running []*job.Job) {
+	p.Reset(now, up)
+	for _, r := range running {
+		if end := ProjectedEnd(r); end > now {
+			p.Sub(now, end, r.Procs)
+		}
+	}
 }
 
 // ensureBoundary splits the profile so that a step starts exactly at t
@@ -107,6 +139,22 @@ func (p *Profile) FindStart(after int64, procs int, dur int64) int64 {
 		}
 	}
 	panic("sched: FindStart found no anchor (unreachable: last step is infinite)")
+}
+
+// Fits reports whether procs processors stay free over [start,
+// start+dur) — whether a job can be placed there without pushing any
+// allocation already in the profile (start ≥ profile start, dur > 0).
+func (p *Profile) Fits(start int64, procs int, dur int64) bool {
+	i := sort.Search(len(p.steps), func(i int) bool { return p.steps[i].t > start }) - 1
+	if i < 0 {
+		panic(fmt.Sprintf("sched: Fits(%d) before profile start %d", start, p.steps[0].t))
+	}
+	for ; i < len(p.steps) && p.steps[i].t < start+dur; i++ {
+		if p.steps[i].free < procs {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of steps (for tests).

@@ -3,6 +3,8 @@ package sched
 import (
 	"math/rand"
 	"testing"
+
+	"pjs/internal/job"
 )
 
 func TestProfileFreeAt(t *testing.T) {
@@ -153,5 +155,94 @@ func TestProfileFindStartProperty(t *testing.T) {
 					iter, cand, anchor)
 			}
 		}
+	}
+}
+
+func TestProfileFitsWindowEdges(t *testing.T) {
+	p := NewProfile(0, 10)
+	p.Sub(50, 100, 8) // 2 free in [50,100)
+	cases := []struct {
+		start int64
+		procs int
+		dur   int64
+		want  bool
+	}{
+		{0, 10, 50, true},  // ends exactly where the dip starts
+		{0, 10, 51, false}, // one second into the dip
+		{49, 3, 1, true},   // last second before the dip
+		{60, 2, 1000, true},
+		{60, 3, 1, false},
+		{100, 10, 5, true}, // starts exactly where the dip ends
+	}
+	for _, c := range cases {
+		if got := p.Fits(c.start, c.procs, c.dur); got != c.want {
+			t.Errorf("Fits(%d, %d, %d) = %v, want %v", c.start, c.procs, c.dur, got, c.want)
+		}
+	}
+}
+
+// Property: Fits agrees with a dense per-second timeline.
+func TestProfileFitsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const horizon = 500
+	for iter := 0; iter < 300; iter++ {
+		total := 4 + rng.Intn(28)
+		p := NewProfile(0, total)
+		free := make([]int, horizon)
+		for i := range free {
+			free[i] = total
+		}
+		for k := 0; k < 6; k++ {
+			procs := 1 + rng.Intn(total)
+			start := int64(rng.Intn(300))
+			end := start + int64(1+rng.Intn(150))
+			if p.Fits(start, procs, end-start) {
+				p.Sub(start, end, procs)
+				for i := start; i < end; i++ {
+					free[i] -= procs
+				}
+			}
+		}
+		for q := 0; q < 20; q++ {
+			procs := 1 + rng.Intn(total)
+			start := int64(rng.Intn(400))
+			dur := int64(1 + rng.Intn(horizon-int(start)))
+			want := true
+			for i := start; i < start+dur; i++ {
+				if free[i] < procs {
+					want = false
+					break
+				}
+			}
+			if got := p.Fits(start, procs, dur); got != want {
+				t.Fatalf("iter %d: Fits(%d, %d, %d) = %v, dense timeline says %v",
+					iter, start, procs, dur, got, want)
+			}
+		}
+	}
+}
+
+// ResetRunning reuses storage and holds each running job's processors
+// until its projected end; jobs already past it hold nothing.
+func TestProfileResetRunning(t *testing.T) {
+	running := []*job.Job{
+		{ID: 1, Procs: 3, LastDispatch: 0, Estimate: 100},                  // ends 100
+		{ID: 2, Procs: 2, LastDispatch: 20, PendingRead: 10, Estimate: 70}, // ends 100
+		{ID: 3, Procs: 4, LastDispatch: 0, Estimate: 40},                   // ends 40 ≤ now
+	}
+	var p Profile
+	p.Reset(0, 1)
+	p.Sub(0, 10, 1)
+	p.ResetRunning(50, 10, running)
+	for _, c := range []struct {
+		t    int64
+		want int
+	}{{50, 5}, {99, 5}, {100, 10}, {1 << 40, 10}} {
+		if got := p.FreeAt(c.t); got != c.want {
+			t.Errorf("FreeAt(%d) = %d, want %d", c.t, got, c.want)
+		}
+	}
+	if p.Len() != 2 {
+		t.Errorf("Len = %d, want 2 steps", p.Len())
 	}
 }

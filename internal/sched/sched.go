@@ -774,6 +774,23 @@ func Contains(queue []*job.Job, j *job.Job) bool {
 	return false
 }
 
+// InsertBySubmit places j into queue before the first job it precedes
+// in (submit, id) order — where a requeued job rejoins the arrival
+// order — and returns the grown slice.
+func InsertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {
+	at := len(queue)
+	for i, q := range queue {
+		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
+			at = i
+			break
+		}
+	}
+	queue = append(queue, nil)
+	copy(queue[at+1:], queue[at:])
+	queue[at] = j
+	return queue
+}
+
 // Remove deletes j from queue, preserving order, and returns the
 // shortened slice.
 func Remove(queue []*job.Job, j *job.Job) []*job.Job {

@@ -10,7 +10,7 @@ import (
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
 	"pjs/internal/sched/conservative"
-	"pjs/internal/sched/easy"
+	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/fcfs"
 	"pjs/internal/sched/gang"
 	"pjs/internal/sched/is"
@@ -24,7 +24,7 @@ import (
 func allSchedulers() []sched.Scheduler {
 	return []sched.Scheduler{
 		fcfs.New(),
-		easy.New(),
+		depthbf.New(1),
 		conservative.New(),
 		is.New(),
 		gang.New(gang.Config{}),
@@ -81,7 +81,7 @@ func TestAllSchedulersWithOverheadPassInvariants(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	tr := smallTrace(3, 300)
 	for _, mk := range []func() sched.Scheduler{
-		func() sched.Scheduler { return easy.New() },
+		func() sched.Scheduler { return depthbf.New(1) },
 		func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
 		func() sched.Scheduler { return is.New() },
 	} {
@@ -102,7 +102,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunDoesNotMutateTrace(t *testing.T) {
 	tr := smallTrace(4, 100)
-	sched.Run(tr, easy.New(), sched.Options{})
+	sched.Run(tr, depthbf.New(1), sched.Options{})
 	for _, j := range tr.Jobs {
 		if j.State != job.Queued || j.FinishTime != -1 {
 			t.Fatal("Run mutated the caller's trace")
@@ -112,7 +112,7 @@ func TestRunDoesNotMutateTrace(t *testing.T) {
 
 func TestNonPreemptiveSchedulersNeverSuspend(t *testing.T) {
 	tr := smallTrace(5, 300)
-	for _, s := range []sched.Scheduler{fcfs.New(), easy.New(), conservative.New()} {
+	for _, s := range []sched.Scheduler{fcfs.New(), depthbf.New(1), conservative.New()} {
 		res := sched.Run(tr, s, sched.Options{})
 		if res.Suspensions != 0 {
 			t.Errorf("%s: %d suspensions", s.Name(), res.Suspensions)
@@ -143,7 +143,7 @@ func TestBackfillingBeatsFCFS(t *testing.T) {
 		return sum / float64(len(res.Jobs))
 	}
 	f := mean(fcfs.New())
-	e := mean(easy.New())
+	e := mean(depthbf.New(1))
 	if e >= f {
 		t.Errorf("EASY mean TAT %.0f not better than FCFS %.0f", e, f)
 	}
@@ -200,7 +200,7 @@ func TestRemove(t *testing.T) {
 
 func TestResultMakespan(t *testing.T) {
 	tr := smallTrace(8, 50)
-	res := sched.Run(tr, easy.New(), sched.Options{})
+	res := sched.Run(tr, depthbf.New(1), sched.Options{})
 	if res.Makespan() != res.End-res.Start {
 		t.Error("Makespan mismatch")
 	}
@@ -212,7 +212,7 @@ func TestResultMakespan(t *testing.T) {
 func TestSchedulerNames(t *testing.T) {
 	want := map[string]sched.Scheduler{
 		"FCFS":         fcfs.New(),
-		"NS":           easy.New(),
+		"NS":           depthbf.New(1),
 		"Conservative": conservative.New(),
 		"IS":           is.New(),
 		"SS(SF=2)":     ss.New(ss.Config{SF: 2}),

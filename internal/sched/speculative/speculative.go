@@ -14,8 +14,6 @@
 package speculative
 
 import (
-	"sort"
-
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
@@ -38,6 +36,7 @@ type Sched struct {
 	queue    []*job.Job
 	running  []*job.Job
 	deadline map[int]int64 // jobID → must-vacate time for spec runs
+	prof     sched.Profile // scratch timeline for the head's shadow
 }
 
 // New returns a speculative backfilling scheduler.
@@ -63,7 +62,7 @@ func (s *Sched) TickInterval() int64 { return 60 }
 
 // OnArrival implements sched.Scheduler.
 func (s *Sched) OnArrival(j *job.Job) {
-	s.enqueue(j)
+	s.queue = append(s.queue, j)
 	s.schedule()
 }
 
@@ -92,7 +91,7 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 		s.running = sched.Remove(s.running, j)
 		delete(s.deadline, j.ID)
 		if !sched.Contains(s.queue, j) {
-			s.enqueue(j)
+			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
 	}
 	s.schedule()
@@ -101,20 +100,6 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity may admit the
 // head or open new (speculative) holes.
 func (s *Sched) OnRepair(int) { s.schedule() }
-
-// enqueue inserts j in submit-time order (killed jobs keep their
-// original queue position).
-func (s *Sched) enqueue(j *job.Job) {
-	i := sort.Search(len(s.queue), func(i int) bool {
-		if s.queue[i].SubmitTime != j.SubmitTime {
-			return s.queue[i].SubmitTime > j.SubmitTime
-		}
-		return s.queue[i].ID > j.ID
-	})
-	s.queue = append(s.queue, nil)
-	copy(s.queue[i+1:], s.queue[i:])
-	s.queue[i] = j
-}
 
 // enforceDeadlines kills speculative runs that outlived their hole while
 // the queue head is still waiting for processors.
@@ -131,7 +116,8 @@ func (s *Sched) enforceDeadlines() {
 		s.env.Kill(r)
 		s.running = sched.Remove(s.running, r)
 		delete(s.deadline, r.ID)
-		s.enqueue(r)
+		// A lost gamble keeps its original queue position.
+		s.queue = sched.InsertBySubmit(s.queue, r)
 	}
 }
 
@@ -190,45 +176,29 @@ func (s *Sched) schedule() {
 	}
 }
 
-// shadow mirrors the EASY computation: the head's projected start and
-// the processors left over at that time.
+// shadow is the head's projected start and the processors left over at
+// that time, read off the running jobs' timeline. A speculative run
+// vacates by its deadline (finish or kill), not by its inflated
+// estimate.
 func (s *Sched) shadow(head *job.Job) (shadowTime int64, extraNodes int) {
-	type rel struct {
-		end   int64
-		procs int
-		id    int
-	}
-	rels := make([]rel, 0, len(s.running))
+	now := s.env.Now()
+	up := s.env.Cluster.UpCount()
+	s.prof.Reset(now, up)
+	var last int64
 	for _, r := range s.running {
-		end := r.LastDispatch + r.PendingRead + r.Estimate
-		// A speculative run vacates by its deadline (finish or kill),
-		// not by its inflated estimate.
+		end := sched.ProjectedEnd(r)
 		if dl, spec := s.deadline[r.ID]; spec && dl < end {
 			end = dl
 		}
-		rels = append(rels, rel{end: end, procs: r.Procs, id: r.ID})
+		s.prof.Sub(now, end, r.Procs)
+		last = max(last, end)
 	}
-	// Ties on the projected release time must resolve reproducibly (see
-	// the same fix in easy.shadow); break them by job ID.
-	sort.SliceStable(rels, func(i, k int) bool {
-		if rels[i].end != rels[k].end {
-			return rels[i].end < rels[k].end
-		}
-		return rels[i].id < rels[k].id
-	})
-	free := s.env.Cluster.FreeUnclaimed()
-	for _, r := range rels {
-		if free >= head.Procs {
-			break
-		}
-		free += r.procs
-		shadowTime = r.end
-	}
-	if free < head.Procs {
+	if head.Procs > up {
 		// Failures can leave the head wider than the surviving machine;
-		// treat the last release as the shadow with no extra nodes (see
-		// the same tolerance in easy.shadow).
-		return shadowTime, 0
+		// treat the last release as the shadow and leave no extra nodes,
+		// so backfill stays conservative until capacity returns.
+		return last, 0
 	}
-	return shadowTime, free - head.Procs
+	shadowTime = s.prof.FindStart(now, head.Procs, head.Estimate)
+	return shadowTime, s.prof.FreeAt(shadowTime) - head.Procs
 }

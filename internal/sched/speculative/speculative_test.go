@@ -7,7 +7,7 @@ import (
 	"pjs/internal/job"
 	"pjs/internal/metrics"
 	"pjs/internal/sched"
-	"pjs/internal/sched/easy"
+	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/speculative"
 	"pjs/internal/workload"
 )
@@ -44,7 +44,7 @@ func TestSpeculativeWinnerStartsEarly(t *testing.T) {
 		t.Errorf("winner finish=%d kills=%d, want 120,0", byID[3].FinishTime, byID[3].Kills)
 	}
 	// Under plain EASY the same job waits until after the head.
-	easyRes := sched.Run(scenario(), easy.New(), sched.Options{MaxSteps: 1_000_000})
+	easyRes := sched.Run(scenario(), depthbf.New(1), sched.Options{MaxSteps: 1_000_000})
 	for _, j := range easyRes.Jobs {
 		if j.ID == 3 && j.FirstStart == 20 {
 			t.Error("EASY should not have started the over-estimated job at 20")
@@ -124,7 +124,7 @@ func TestSpeculativeInvariantsRandomized(t *testing.T) {
 // why it splits metrics by estimate quality.
 func TestSpeculationHelpsAbortLikeJobsOnly(t *testing.T) {
 	tr := workload.AbortStress(40)
-	nsRes := sched.Run(tr, easy.New(), sched.Options{MaxSteps: 10_000_000})
+	nsRes := sched.Run(tr, depthbf.New(1), sched.Options{MaxSteps: 10_000_000})
 	spRes := sched.Run(tr, speculative.New(speculative.Config{}), sched.Options{MaxSteps: 10_000_000})
 	split := func(res *sched.Result) (abortSD, normalSD float64) {
 		var na, nn int
@@ -155,5 +155,30 @@ func TestSpeculationHelpsAbortLikeJobsOnly(t *testing.T) {
 func TestName(t *testing.T) {
 	if speculative.New(speculative.Config{}).Name() != "SpecBF" {
 		t.Error("name")
+	}
+}
+
+// Two running jobs release at the head's shadow time; both count as
+// extra nodes, so a long narrow job that fits only in the second
+// release's processors backfills conventionally — no gamble, no kill.
+// (Its estimate is too long to speculate on the 80 s hole.)
+func TestTiedReleasesAllCountAsExtraNodes(t *testing.T) {
+	tr := &workload.Trace{Name: "tie", Procs: 6, Jobs: []*job.Job{
+		job.New(1, 0, 100, 100, 2),  // releases 2 at 100
+		job.New(2, 0, 100, 100, 2),  // also releases 2 at 100
+		job.New(3, 10, 100, 100, 4), // head: fits after the first release
+		job.New(4, 20, 500, 500, 2), // long: needs the second release's 2
+	}}
+	byID, res := run(t, tr, speculative.Config{})
+	if byID[4].FirstStart != 20 || byID[4].Kills != 0 {
+		t.Errorf("job4 start=%d kills=%d, want 20,0 (extra nodes from the tied release)", byID[4].FirstStart, byID[4].Kills)
+	}
+	if byID[3].FirstStart != 100 {
+		t.Errorf("head start = %d, want 100 (reservation honoured)", byID[3].FirstStart)
+	}
+	for _, e := range res.Audit.Entries {
+		if e.Action == sched.ActKill {
+			t.Fatalf("unexpected kill: %+v", e)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"pjs/internal/metrics"
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
-	"pjs/internal/sched/easy"
+	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
@@ -304,7 +304,7 @@ func TestInvalidSFPanics(t *testing.T) {
 func TestSSImprovesShortJobSlowdowns(t *testing.T) {
 	m := workload.SDSC()
 	tr := workload.Generate(m, workload.GenOptions{Jobs: 2500, Seed: 21})
-	ns := metrics.FromResult(sched.Run(tr, easy.New(), sched.Options{MaxSteps: 20_000_000}), metrics.All)
+	ns := metrics.FromResult(sched.Run(tr, depthbf.New(1), sched.Options{MaxSteps: 20_000_000}), metrics.All)
 	s2 := metrics.FromResult(sched.Run(tr, ss.New(ss.Config{SF: 2}), sched.Options{MaxSteps: 20_000_000}), metrics.All)
 
 	// Aggregate the VS row.

@@ -51,7 +51,6 @@ import (
 	"pjs/internal/sched"
 	"pjs/internal/sched/conservative"
 	"pjs/internal/sched/depthbf"
-	"pjs/internal/sched/easy"
 	"pjs/internal/sched/fcfs"
 	"pjs/internal/sched/gang"
 	"pjs/internal/sched/is"
@@ -191,7 +190,7 @@ func NewScheduler(spec string) (Scheduler, error) {
 	case "conservative", "cons":
 		return conservative.New(), nil
 	case "ns", "easy", "aggressive":
-		return easy.New(), nil
+		return depthbf.New(1), nil
 	case "is":
 		return is.New(), nil
 	case "ss":

@@ -24,7 +24,7 @@ func TestNewSchedulerSpecs(t *testing.T) {
 		"spec":         "SpecBF",
 		"spec:10":      "SpecBF",
 		"depth:4":      "DepthBF(4)",
-		"depthbf":      "DepthBF(1)",
+		"depthbf":      "NS",
 	}
 	for spec, want := range cases {
 		s, err := NewScheduler(spec)
