@@ -268,6 +268,66 @@ func TestSelectVictimsProperty(t *testing.T) {
 	}
 }
 
+// Property: Coverable is exactly SelectVictims's feasibility — the two
+// agree on every input where a preemption is needed, with mixed widths,
+// priorities and the half-width rule in play.
+func TestCoverableMatchesSelectVictims(t *testing.T) {
+	p := Policy{SF: 1.5}
+	f := func(widths, waits []uint8, idleProcs uint8, free uint8) bool {
+		idle := waitingJob(99, int(idleProcs%32)+1, 500, 5000)
+		var running []*job.Job
+		for i, w := range widths {
+			r := runningJob(i+1, int(w%16)+1, 5000)
+			if i < len(waits) {
+				r.SubmitTime = -int64(waits[i]) * 100 // raises its xfactor
+			}
+			running = append(running, r)
+		}
+		fr := int(free % 8)
+		if fr >= idle.Procs {
+			return true // SelectVictims needs no victims; Coverable is not asked
+		}
+		_, ok := p.SelectVictims(0, idle, running, fr)
+		return p.Coverable(0, idle, running, fr) == ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// ReentryPreempts is true exactly when SelectReentryVictims succeeds
+// with at least one victim: a fully free set preempts nobody.
+func TestReentryPreempts(t *testing.T) {
+	p := Policy{SF: 2}
+	holder := runningJob(1, 3, 10000)
+	idle := waitingJob(9, 4, 100, 100000)
+	idle.ProcSet = []int{0, 1, 2, 3}
+	cases := map[string]struct {
+		classify ReentryClassifier
+		want     bool
+	}{
+		"free": {func(int) (ReentryBlocked, *job.Job) { return ReentryFree, nil }, false},
+		"held": {func(proc int) (ReentryBlocked, *job.Job) {
+			if proc < 2 {
+				return ReentryFree, nil
+			}
+			return ReentryPreemptible, holder
+		}, true},
+		"hard": {func(proc int) (ReentryBlocked, *job.Job) {
+			if proc == 3 {
+				return ReentryHard, nil
+			}
+			return ReentryPreemptible, holder
+		}, false},
+	}
+	for name, c := range cases {
+		victims, ok := p.SelectReentryVictims(0, idle, c.classify)
+		if got := p.ReentryPreempts(0, idle, c.classify); got != c.want || got != (ok && len(victims) > 0) {
+			t.Errorf("%s: ReentryPreempts = %v, want %v (SelectReentryVictims %v, %v)", name, got, c.want, victims, ok)
+		}
+	}
+}
+
 func TestLimitsFromSlowdowns(t *testing.T) {
 	var avg [16]float64
 	avg[0] = 4.0

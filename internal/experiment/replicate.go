@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pjs/internal/metrics"
+	"pjs/internal/obs"
 	"pjs/internal/sched"
 	"pjs/internal/workload"
 )
@@ -41,24 +42,38 @@ func LoadedUtilizationPct(_ *metrics.Summary, r *sched.Result) float64 {
 
 // Replicate runs scheme sc on model/est/loadPct once per seed (each with
 // its own independently generated workload) and aggregates metric.
+// With base.Counters set, each seed's runs are counted in a registry of
+// their own, merged into base.Counters in seed order once all finish:
+// the counts equal a sequential run's, and no registry is shared
+// between goroutines.
 func Replicate(base Config, seeds []int64, model string, est workload.EstimateMode,
 	loadPct int, sc Scheme, oh bool, metric Metric) Replication {
 
 	values := make([]float64, len(seeds))
+	regs := make([]*obs.Registry, len(seeds))
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
+		cfg := base
+		cfg.Seed = seed
+		if base.Counters != nil {
+			regs[i] = obs.NewRegistry()
+			cfg.Counters = regs[i]
+		}
 		wg.Add(1)
-		go func(i int, seed int64) {
+		go func(i int, cfg Config) {
 			defer wg.Done()
-			cfg := base
-			cfg.Seed = seed
 			r := NewRunner(cfg)
 			res := r.Result(model, est, loadPct, sc, oh)
 			sum := r.Summary(model, est, loadPct, sc, oh, metrics.All)
 			values[i] = metric(sum, res)
-		}(i, seed)
+		}(i, cfg)
 	}
 	wg.Wait()
+	if base.Counters != nil {
+		for _, reg := range regs {
+			base.Counters.Merge(reg)
+		}
+	}
 
 	rep := Replication{Values: values}
 	n := float64(len(values))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pjs/internal/obs"
 	"pjs/internal/workload"
 )
 
@@ -74,5 +75,32 @@ func TestLoadedUtilizationMetric(t *testing.T) {
 	got := LoadedUtilizationPct(sum, res)
 	if got <= 0 || got > 100 {
 		t.Errorf("utilization %% = %v", got)
+	}
+}
+
+// Replicate's goroutines must not share the caller's counter registry:
+// with one attached, the folded counts equal those of the same seeds
+// run one after another on a single registry. Under -race a shared
+// registry also fails as a data race.
+func TestReplicateCountersMatchSequential(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	sc := SS(2)
+	par := obs.NewRegistry()
+	Replicate(Config{Jobs: 200, Counters: par}, seeds, "SDSC", workload.EstimateAccurate, 100, sc, false, OverallMeanSlowdown)
+	seq := obs.NewRegistry()
+	for _, seed := range seeds {
+		NewRunner(Config{Jobs: 200, Seed: seed, Counters: seq}).Result("SDSC", workload.EstimateAccurate, 100, sc, false)
+	}
+	got, want := par.Snapshot(), seq.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("%d counter sets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if g, w := got[i].String(), want[i].String(); g != w {
+			t.Errorf("replicated counters differ from a sequential run:\n%s\nwant:\n%s", g, w)
+		}
+	}
+	if want[0].Arrivals != int64(200*len(seeds)) || want[0].SuspendBegins == 0 {
+		t.Errorf("sequential reference looks wrong: %d arrivals, %d suspensions", want[0].Arrivals, want[0].SuspendBegins)
 	}
 }

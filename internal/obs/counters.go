@@ -181,33 +181,37 @@ func (c *Counters) Snapshot() Counters {
 // Minus returns the count-wise difference c − prev, attributing the
 // activity between two snapshots. MaxChainDepth is a high-water mark,
 // not a count, so the difference keeps c's value.
-func (c Counters) Minus(prev Counters) Counters {
+func (c Counters) Minus(prev Counters) Counters { return c.addScaled(prev, -1) }
+
+// addScaled returns c + k·o over every count, keeping c's
+// MaxChainDepth and detection state.
+func (c Counters) addScaled(o Counters, k int64) Counters {
 	d := c
-	d.Arrivals -= prev.Arrivals
-	d.Starts -= prev.Starts
-	d.Resumes -= prev.Resumes
-	d.SuspendBegins -= prev.SuspendBegins
-	d.SuspendDones -= prev.SuspendDones
-	d.Finishes -= prev.Finishes
-	d.Kills -= prev.Kills
-	d.Ticks -= prev.Ticks
-	d.BackfillStarts -= prev.BackfillStarts
-	d.PreemptionWaves -= prev.PreemptionWaves
-	d.SuspendedImageBytes -= prev.SuspendedImageBytes
-	d.ProcFails -= prev.ProcFails
-	d.ProcRepairs -= prev.ProcRepairs
-	d.ImageLosses -= prev.ImageLosses
-	d.LostWorkSeconds -= prev.LostWorkSeconds
-	d.IORetries -= prev.IORetries
-	d.IOExhaustions -= prev.IOExhaustions
-	d.IODegradations -= prev.IODegradations
-	d.IORestores -= prev.IORestores
+	d.Arrivals += k * o.Arrivals
+	d.Starts += k * o.Starts
+	d.Resumes += k * o.Resumes
+	d.SuspendBegins += k * o.SuspendBegins
+	d.SuspendDones += k * o.SuspendDones
+	d.Finishes += k * o.Finishes
+	d.Kills += k * o.Kills
+	d.Ticks += k * o.Ticks
+	d.BackfillStarts += k * o.BackfillStarts
+	d.PreemptionWaves += k * o.PreemptionWaves
+	d.SuspendedImageBytes += k * o.SuspendedImageBytes
+	d.ProcFails += k * o.ProcFails
+	d.ProcRepairs += k * o.ProcRepairs
+	d.ImageLosses += k * o.ImageLosses
+	d.LostWorkSeconds += k * o.LostWorkSeconds
+	d.IORetries += k * o.IORetries
+	d.IOExhaustions += k * o.IOExhaustions
+	d.IODegradations += k * o.IODegradations
+	d.IORestores += k * o.IORestores
 	for i := range d.PerCategory {
-		d.PerCategory[i].Starts -= prev.PerCategory[i].Starts
-		d.PerCategory[i].Resumes -= prev.PerCategory[i].Resumes
-		d.PerCategory[i].Suspensions -= prev.PerCategory[i].Suspensions
-		d.PerCategory[i].Kills -= prev.PerCategory[i].Kills
-		d.PerCategory[i].Finishes -= prev.PerCategory[i].Finishes
+		d.PerCategory[i].Starts += k * o.PerCategory[i].Starts
+		d.PerCategory[i].Resumes += k * o.PerCategory[i].Resumes
+		d.PerCategory[i].Suspensions += k * o.PerCategory[i].Suspensions
+		d.PerCategory[i].Kills += k * o.PerCategory[i].Kills
+		d.PerCategory[i].Finishes += k * o.PerCategory[i].Finishes
 	}
 	return d
 }
@@ -326,6 +330,22 @@ func (r *Registry) For(scheduler string, procs int) *Counters {
 	r.byName[scheduler] = c
 	r.order = append(r.order, scheduler)
 	return c
+}
+
+// Merge adds every counter set of o into r, registering o's schedulers
+// in o's order after r's own; MaxChainDepth takes the larger mark.
+// Runs observed through separate registries and merged in a fixed order
+// count exactly as if they had run one after another on r, since each
+// run starts on an empty queue with an arrival that ends any
+// preemption wave.
+func (r *Registry) Merge(o *Registry) {
+	for _, name := range o.order {
+		src := o.byName[name]
+		dst := r.For(name, src.Procs)
+		depth := max(dst.MaxChainDepth, src.MaxChainDepth)
+		*dst = dst.addScaled(*src, 1)
+		dst.MaxChainDepth = depth
+	}
 }
 
 // Snapshot returns copies of every counter set in registration order.

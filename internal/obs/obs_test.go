@@ -128,6 +128,34 @@ func TestRegistryOrderAndReuse(t *testing.T) {
 	_ = b
 }
 
+// Merging registries sums counts per scheduler, keeps the larger chain
+// mark, and appends schedulers new to the target in the source's order.
+func TestRegistryMerge(t *testing.T) {
+	mk := func(id int) *job.Job { return job.New(id, 0, 1000, 1000, 2) }
+	dst, src := NewRegistry(), NewRegistry()
+	dst.For("ss", 8).Observe(ev(0, sched.ActArrive, mk(1)))
+	dst.For("ss", 8).Observe(ev(10, sched.ActSuspendBegin, mk(2)))
+	b := src.For("ss", 8)
+	b.Observe(ev(0, sched.ActArrive, mk(3)))
+	b.Observe(ev(5, sched.ActSuspendBegin, mk(4)))
+	b.Observe(ev(5, sched.ActSuspendBegin, mk(5)))
+	src.For("ns", 8).Observe(ev(0, sched.ActArrive, mk(6)))
+
+	dst.Merge(src)
+	snap := dst.Snapshot()
+	if len(snap) != 2 || snap[0].Scheduler != "ss" || snap[1].Scheduler != "ns" {
+		t.Fatalf("merged order %v, want ss then ns", snap)
+	}
+	ss := snap[0]
+	if ss.Arrivals != 2 || ss.SuspendBegins != 3 || ss.PreemptionWaves != 2 || ss.MaxChainDepth != 2 {
+		t.Errorf("merged ss: arrivals=%d suspends=%d waves=%d chain=%d, want 2/3/2/2",
+			ss.Arrivals, ss.SuspendBegins, ss.PreemptionWaves, ss.MaxChainDepth)
+	}
+	if back := ss.Minus(b.Snapshot()); back.Arrivals != 1 || back.SuspendBegins != 1 {
+		t.Errorf("Minus does not undo the merge: arrivals=%d suspends=%d", back.Arrivals, back.SuspendBegins)
+	}
+}
+
 func TestSamplerCoalescesInstants(t *testing.T) {
 	s := NewSampler(8)
 	s.Observe(sched.Event{Time: 10, Busy: 2, Queued: 1})

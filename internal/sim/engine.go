@@ -344,8 +344,12 @@ func (e *Engine) Run() (int64, error) {
 		case Tick:
 			if e.finishedJobs < e.totalJobs {
 				e.handler.HandleTick()
+				// Re-arm the popped tick instead of allocating one per
+				// tick; push gives it a fresh seq, as a new event would
+				// get.
 				e.nextTick = e.now + e.tickInterval
-				e.push(&Event{Time: e.nextTick, Kind: Tick})
+				ev.Time = e.nextTick
+				e.push(ev)
 			}
 		}
 		e.probe.End(perf.PhaseEventDispatch, span)

@@ -104,6 +104,25 @@ func TestTicksFireAtInterval(t *testing.T) {
 	}
 }
 
+// A tick re-arms the event it was popped as, so a run's allocations do
+// not grow with its tick count.
+func TestTicksDoNotAllocate(t *testing.T) {
+	run := func(runTime int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			h := &recordingHandler{}
+			e := New(h, 60)
+			h.eng = e
+			e.AddJob(job.New(1, 0, runTime, runTime, 1))
+			if _, err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+	}
+	if short, long := run(600), run(600*1000); long != short {
+		t.Errorf("%v allocations over 9,999 ticks, %v over 9: ticks allocate", long, short)
+	}
+}
+
 func TestNoTicksWhenDisabled(t *testing.T) {
 	h := &recordingHandler{}
 	e := New(h, 0)
