@@ -290,6 +290,19 @@ func (e *Env) IsPending(j *job.Job) bool {
 // PendingCount returns the number of jobs waiting on claimed sets.
 func (e *Env) PendingCount() int { return len(e.pending) }
 
+// CanStartFresh reports whether StartFresh would start j right now:
+// enough processors are free and unclaimed. Policies that decide
+// without acting (dry runs) ask this instead of restating the test.
+func (e *Env) CanStartFresh(j *job.Job) bool { return e.Cluster.FreeUnclaimed() >= j.Procs }
+
+// CanResume reports whether Resume would restart j right now: its whole
+// remembered processor set is free.
+func (e *Env) CanResume(j *job.Job) bool { return e.Cluster.SetFree(j.ID, j.ProcSet) }
+
+// CanResumeAnywhere reports whether ResumeAnywhere would restart j
+// right now: enough processors are free and unclaimed.
+func (e *Env) CanResumeAnywhere(j *job.Job) bool { return e.Cluster.FreeUnclaimed() >= j.Procs }
+
 // StartFresh starts queued job j on any free processors if enough are
 // available right now; it reports whether the job was started. A job is
 // Queued only when it holds no suspended image — including after a kill
@@ -298,7 +311,7 @@ func (e *Env) StartFresh(j *job.Job) bool {
 	if j.State != job.Queued {
 		panic(fmt.Sprintf("sched: StartFresh on %v", j))
 	}
-	if e.Cluster.FreeUnclaimed() < j.Procs {
+	if !e.CanStartFresh(j) {
 		return false
 	}
 	procs := e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
@@ -314,7 +327,7 @@ func (e *Env) Resume(j *job.Job) bool {
 	if j.State != job.Suspended {
 		panic(fmt.Sprintf("sched: Resume on %v", j))
 	}
-	if !e.Cluster.SetFree(j.ID, j.ProcSet) {
+	if !e.CanResume(j) {
 		return false
 	}
 	e.Cluster.AllocSet(e.Now(), j.ID, j.ProcSet)
@@ -330,7 +343,7 @@ func (e *Env) ResumeAnywhere(j *job.Job) bool {
 	if j.State != job.Suspended {
 		panic(fmt.Sprintf("sched: ResumeAnywhere on %v", j))
 	}
-	if e.Cluster.FreeUnclaimed() < j.Procs {
+	if !e.CanResumeAnywhere(j) {
 		return false
 	}
 	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
