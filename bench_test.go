@@ -38,9 +38,7 @@ func benchExperiment(b *testing.B, id string) {
 }
 
 // reportEventsPerSec attaches simulation throughput — engine events per
-// wall-clock second across all iterations — as a custom metric, the
-// same events/s pjsbench reports, so `go test -bench` output and
-// BENCH.json speak one unit.
+// wall-clock second across all iterations — as a custom metric.
 func reportEventsPerSec(b *testing.B, events int64) {
 	if s := b.Elapsed().Seconds(); s > 0 && events > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")

@@ -8,23 +8,19 @@
 //
 //	pjslint ./...              # whole module (the default)
 //	pjslint ./internal/sched   # one subtree
-//	pjslint -json ./...        # one JSON object per finding, one per line
-//	pjslint -sarif ./...       # one SARIF 2.1.0 report on stdout
-//	pjslint -j 4 ./...         # analyze up to 4 packages in parallel
 //	pjslint -list              # describe the checks and exit
 //
-// Packages are analyzed by a bounded worker pool (-j, default capped at
-// the CPU count) but diagnostics are always emitted in sorted package
-// order, so every output mode is byte-identical to a serial run.
+// Findings print one per line as
 //
-// Findings print as file:line:col: pjslint/<check>: message, or with
-// -json as {"file":...,"line":...,"col":...,"check":...,"message":...}
-// — one object per line, sorted by position, byte-identical across
-// runs, which is what the CI problem matcher and the determinism
-// regression test consume. -sarif renders the same findings as a single
-// SARIF 2.1.0 log for code-scanning upload. A finding can be suppressed
-// at one site with a justified directive on the same line or the line
-// above:
+//	file:line:col: pjslint/<check>: message
+//
+// with module-relative paths, sorted by position and byte-identical
+// across runs. That line is the CI contract: the problem matcher in
+// .github/pjslint-problem-matcher.json parses it into PR annotations.
+// Packages are analyzed by a worker pool sized from GOMAXPROCS, but
+// findings are always emitted in sorted package order, so the output is
+// byte-identical to a serial run. A finding can be suppressed at one
+// site with a justified directive on the same line or the line above:
 //
 //	//lint:ignore pjslint/<check> <reason>
 //
@@ -32,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,16 +45,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json wire form of one finding. Paths are module
-// relative so output does not depend on the checkout location.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
 func run(args []string, stdoutW, stderrW io.Writer) int {
 	stdout := cli.Wrap(stdoutW)
 	stderr := cli.Wrap(stderrW)
@@ -67,14 +52,7 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 	fs := flag.NewFlagSet("pjslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "describe the registered checks and exit")
-	asJSON := fs.Bool("json", false, "emit one JSON diagnostic object per line")
-	asSARIF := fs.Bool("sarif", false, "emit one SARIF 2.1.0 report")
-	workers := fs.Int("j", 0, "packages analyzed in parallel (<=0 means the CPU count)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		stderr.Println("pjslint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -107,7 +85,7 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 	}
 
 	checks := lint.AllChecks()
-	results := lintPackages(loader, paths, checks, *workers)
+	results := lintPackages(loader, paths, checks, runtime.GOMAXPROCS(0))
 
 	// Merge in sorted package order: the pool changes wall-clock, never
 	// bytes. The first load error wins, exactly as in a serial sweep.
@@ -120,31 +98,8 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 		diags = append(diags, r.diags...)
 	}
 
-	switch {
-	case *asSARIF:
-		if err := writeSARIF(stdout, root, diags); err != nil {
-			stderr.Println("pjslint:", err)
-			return 2
-		}
-	case *asJSON:
-		for _, d := range diags {
-			line, err := json.Marshal(jsonDiag{
-				File:    relPath(root, d.Pos.Filename),
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Check:   d.Check,
-				Message: d.Message,
-			})
-			if err != nil {
-				stderr.Println("pjslint:", err)
-				return 2
-			}
-			stdout.Println(string(line))
-		}
-	default:
-		for _, d := range diags {
-			stdout.Println(rel(root, d))
-		}
+	for _, d := range diags {
+		stdout.Println(rel(root, d))
 	}
 	code := 0
 	if len(diags) > 0 {
@@ -161,15 +116,12 @@ type pkgResult struct {
 	err   error
 }
 
-// lintPackages analyzes the packages with a bounded worker pool. The
-// loader's singleflight cache makes concurrent Load calls (including
-// the cross-package loads some checks issue) safe and shared; results
-// land in path order, so callers see deterministic output regardless of
-// worker count.
+// lintPackages analyzes the packages with a pool of at most workers
+// goroutines. The loader's singleflight cache makes concurrent Load
+// calls (including the cross-package loads some checks issue) safe and
+// shared; results land in path order, so callers see deterministic
+// output regardless of worker count.
 func lintPackages(loader *lint.Loader, paths []string, checks []lint.Check, workers int) []pkgResult {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	if workers > len(paths) {
 		workers = len(paths)
 	}
@@ -251,17 +203,13 @@ func expand(l *lint.Loader, patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// relPath shortens an absolute diagnostic path to a module-relative one
-// when possible.
-func relPath(root, path string) string {
-	if r, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(r, "..") {
-		return filepath.ToSlash(r)
-	}
-	return path
-}
-
-// rel renders a diagnostic with a module-relative path.
+// rel renders a diagnostic with a module-relative path when the file is
+// inside the module.
 func rel(root string, d lint.Diagnostic) string {
+	path := d.Pos.Filename
+	if r, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(r, "..") {
+		path = filepath.ToSlash(r)
+	}
 	return fmt.Sprintf("%s:%d:%d: pjslint/%s: %s",
-		relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
+		path, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }

@@ -3,20 +3,32 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"pjs/internal/lint"
 )
 
-// TestJSONDeterminism is the tier-1 determinism satellite for the
-// driver itself: two -json runs over the same sources must be
-// byte-identical — diagnostics sorted by position, module-relative
-// paths, no map order anywhere in the pipeline.
-func TestJSONDeterminism(t *testing.T) {
-	args := []string{"-json", "../../internal/lint/testdata/src/detrand"}
+// dirtyTrees are fixture packages with known findings, including
+// directive-parser findings, which carry the synthetic check name
+// "directive".
+var dirtyTrees = []string{
+	"../../internal/lint/testdata/src/detrand",
+	"../../internal/lint/testdata/src/directive",
+	"../../internal/lint/testdata/src/wallclock",
+}
+
+// TestOutputDeterminism is the tier-1 determinism satellite for the
+// driver itself: two runs over the same sources must be byte-identical
+// — diagnostics sorted by position, module-relative paths, no map
+// order anywhere in the pipeline.
+func TestOutputDeterminism(t *testing.T) {
 	var first string
 	for i := 0; i < 2; i++ {
 		var stdout, stderr bytes.Buffer
-		code := run(args, &stdout, &stderr)
+		code := run(dirtyTrees, &stdout, &stderr)
 		if code != 1 {
 			t.Fatalf("run %d: want exit 1 (findings), got %d (stderr: %s)", i, code, stderr.String())
 		}
@@ -25,27 +37,82 @@ func TestJSONDeterminism(t *testing.T) {
 			continue
 		}
 		if stdout.String() != first {
-			t.Errorf("JSON output differs between runs:\n--- first ---\n%s--- second ---\n%s",
+			t.Errorf("output differs between runs:\n--- first ---\n%s--- second ---\n%s",
 				first, stdout.String())
 		}
 	}
-	// Every line must be a well-formed diagnostic object.
-	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
-		var d struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Check   string `json:"check"`
-			Message string `json:"message"`
+}
+
+// TestProblemMatcherParsesOutput pins the CI annotation contract: every
+// line pjslint prints on a dirty tree is parsed by the problem matcher
+// CI registers, into a module-relative .go file, a position, a
+// registered check name and a message.
+func TestProblemMatcherParsesOutput(t *testing.T) {
+	raw, err := os.ReadFile("../../.github/pjslint-problem-matcher.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp  string `json:"regexp"`
+				File    int    `json:"file"`
+				Line    int    `json:"line"`
+				Column  int    `json:"column"`
+				Code    int    `json:"code"`
+				Message int    `json:"message"`
+			} `json:"pattern"`
+		} `json:"problemMatcher"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("bad problem matcher JSON: %v", err)
+	}
+	if len(m.ProblemMatcher) != 1 || len(m.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("want one matcher with one pattern, got %+v", m)
+	}
+	pat := m.ProblemMatcher[0].Pattern[0]
+	re, err := regexp.Compile(pat.Regexp)
+	if err != nil {
+		t.Fatalf("matcher regexp does not compile: %v", err)
+	}
+
+	names := map[string]bool{"directive": true}
+	for _, c := range lint.AllChecks() {
+		names[c.Name()] = true
+	}
+	word := regexp.MustCompile(`^[a-z]+$`)
+	for name := range names {
+		if !word.MatchString(name) {
+			t.Errorf("check name %q does not match [a-z]+, so the matcher cannot annotate it", name)
 		}
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("bad JSON line %q: %v", line, err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(dirtyTrees, &stdout, &stderr); code != 1 {
+		t.Fatalf("want exit 1 (findings), got %d (stderr: %s)", code, stderr.String())
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n") {
+		g := re.FindStringSubmatch(line)
+		if g == nil {
+			t.Errorf("problem matcher does not parse %q", line)
+			continue
 		}
-		if d.File == "" || d.Line <= 0 || d.Col <= 0 || d.Check == "" || d.Message == "" {
-			t.Errorf("incomplete diagnostic: %q", line)
+		if f := g[pat.File]; strings.HasPrefix(f, "/") {
+			t.Errorf("file group %q is not module-relative", f)
 		}
-		if strings.HasPrefix(d.File, "/") {
-			t.Errorf("diagnostic path not module-relative: %q", d.File)
+		if g[pat.Line] == "0" || g[pat.Column] == "0" || g[pat.Message] == "" {
+			t.Errorf("incomplete annotation from %q", line)
+		}
+		code := g[pat.Code]
+		if !names[code] {
+			t.Errorf("code group %q is not a registered check name", code)
+		}
+		seen[code] = true
+	}
+	for _, want := range []string{"detrand", "directive", "wallclock"} {
+		if !seen[want] {
+			t.Errorf("no %s finding parsed from the fixture trees", want)
 		}
 	}
 }
@@ -67,115 +134,60 @@ func TestListMode(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial pins the worker-pool determinism contract:
-// a -j 1 sweep and a wide parallel sweep over the same trees produce
-// byte-identical -json output and the same exit code.
-func TestParallelMatchesSerial(t *testing.T) {
-	trees := []string{
-		"../../internal/lint/testdata/src/detrand",
-		"../../internal/lint/testdata/src/wallclock",
-		"../../internal/lint/testdata/src/maporder",
-	}
-	var serialOut bytes.Buffer
-	serialCode := run(append([]string{"-json", "-j", "1"}, trees...), &serialOut, &bytes.Buffer{})
-	var parOut bytes.Buffer
-	parCode := run(append([]string{"-json", "-j", "8"}, trees...), &parOut, &bytes.Buffer{})
-	if serialCode != parCode {
-		t.Fatalf("exit codes differ: serial %d, parallel %d", serialCode, parCode)
-	}
-	if serialCode != 1 {
-		t.Fatalf("fixture trees should yield findings, got exit %d", serialCode)
-	}
-	if serialOut.String() != parOut.String() {
-		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-			serialOut.String(), parOut.String())
-	}
-}
-
-// TestSARIFOutput pins the -sarif mode: a well-formed, deterministic
-// SARIF 2.1.0 log whose rule table covers every registered check and
-// whose results carry module-relative locations.
-func TestSARIFOutput(t *testing.T) {
-	args := []string{"-sarif", "../../internal/lint/testdata/src/detrand"}
-	var first string
-	for i := 0; i < 2; i++ {
+// TestRemovedFlagsRejected pins that -list is the only flag: the old
+// output-format and worker-count flags are unknown and exit 2.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-json", "./..."},
+		{"-sarif", "./..."},
+		{"-j", "1", "./..."},
+	} {
 		var stdout, stderr bytes.Buffer
-		code := run(args, &stdout, &stderr)
-		if code != 1 {
-			t.Fatalf("run %d: want exit 1 (findings), got %d (stderr: %s)", i, code, stderr.String())
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: want exit 2, got %d", args, code)
 		}
-		if i == 0 {
-			first = stdout.String()
-			continue
-		}
-		if stdout.String() != first {
-			t.Errorf("SARIF output differs between runs:\n--- first ---\n%s--- second ---\n%s",
-				first, stdout.String())
-		}
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Message   struct{ Text string }
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(first), &log); err != nil {
-		t.Fatalf("bad SARIF JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("want one SARIF 2.1.0 run, got version %q with %d runs", log.Version, len(log.Runs))
-	}
-	run0 := log.Runs[0]
-	if run0.Tool.Driver.Name != "pjslint" {
-		t.Errorf("driver name = %q, want pjslint", run0.Tool.Driver.Name)
-	}
-	if len(run0.Tool.Driver.Rules) != 12 {
-		t.Errorf("rule table has %d entries, want all 12 checks", len(run0.Tool.Driver.Rules))
-	}
-	if len(run0.Results) == 0 {
-		t.Fatal("no results for a dirty fixture tree")
-	}
-	for _, r := range run0.Results {
-		if !strings.HasPrefix(r.RuleID, "pjslint/") || r.Level != "error" {
-			t.Errorf("bad result %+v", r)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if strings.HasPrefix(loc.ArtifactLocation.URI, "/") || loc.Region.StartLine <= 0 {
-			t.Errorf("bad location %+v", loc)
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr should name the unknown flag: %s", args, stderr.String())
 		}
 	}
 }
 
-// TestJSONAndSARIFExclusive rejects combining the two machine formats.
-func TestJSONAndSARIFExclusive(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "-sarif", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("want exit 2, got %d", code)
+// TestParallelMatchesSerial pins the worker-pool determinism contract:
+// a one-worker sweep and a wide parallel sweep over the same trees
+// produce identical findings in identical order.
+func TestParallelMatchesSerial(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "mutually exclusive") {
-		t.Errorf("stderr should explain the conflict: %s", stderr.String())
+	trees := append([]string{"../../internal/lint/testdata/src/maporder"}, dirtyTrees...)
+	render := func(workers int) string {
+		loader, err := lint.NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, err := expand(loader, trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for _, r := range lintPackages(loader, paths, lint.AllChecks(), workers) {
+			if r.err != nil {
+				t.Fatalf("%d workers: %v", workers, r.err)
+			}
+			for _, d := range r.diags {
+				out.WriteString(rel(root, d) + "\n")
+			}
+		}
+		return out.String()
+	}
+	serial, parallel := render(1), render(8)
+	if serial == "" {
+		t.Fatal("fixture trees should yield findings")
+	}
+	if serial != parallel {
+		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+			serial, parallel)
 	}
 }
 

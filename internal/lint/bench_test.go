@@ -43,8 +43,8 @@ func BenchmarkLintRepo(b *testing.B) {
 }
 
 // BenchmarkLintRepoParallel is the same full-repository sweep through a
-// bounded worker pool — the shape cmd/pjslint -j runs — so the
-// parallel runner's speedup over the serial baseline is pinned. The
+// worker pool sized from GOMAXPROCS — the shape cmd/pjslint runs — so
+// the pool's speedup over the serial baseline stays measurable. The
 // loader's singleflight cache makes the concurrent Load calls (and the
 // cross-package loads actparity issues) share one type-check per
 // package.
@@ -54,7 +54,7 @@ func BenchmarkLintRepoParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	checks := AllChecks()
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l, err := NewLoader(root)

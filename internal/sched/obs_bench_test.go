@@ -39,7 +39,7 @@ func BenchmarkRunObserverNil(b *testing.B) {
 }
 
 // reportEventsPerSec attaches engine-event throughput as a custom
-// metric — the unit pjsbench and the facade benchmarks also report.
+// metric — the unit the facade benchmarks also report.
 func reportEventsPerSec(b *testing.B, events int64) {
 	if s := b.Elapsed().Seconds(); s > 0 && events > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")
