@@ -2,9 +2,15 @@ package pjs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"pjs"
+	"pjs/internal/job"
 	"pjs/internal/obs"
 	"pjs/internal/sched"
 )
@@ -132,5 +138,159 @@ func TestInstrumentedRunDeterminism(t *testing.T) {
 				t.Errorf("%s: exported trace does not validate: %v", spec, err)
 			}
 		})
+	}
+}
+
+// observerRun is one instrumented configuration the observer digest
+// and the sampler oracle sweep over every registered policy: a clean
+// run, MTBF processor faults (failure kills and stranded images) and
+// transient I/O faults (retries and exhausted retries).
+type observerRun struct {
+	name  string
+	trace *pjs.Trace
+	opt   pjs.Options
+}
+
+func observerRuns() []observerRun {
+	clean := pjs.DiskOverhead()
+	faults := pjs.Options{Faults: pjs.FaultConfig{MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 17}}
+	trans := pjs.DiskOverhead()
+	trans.Transient = pjs.TransientFaultConfig{
+		WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
+		HealthThreshold: 1, HealthWindow: 1 << 40,
+	}
+	sdsc := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	return []observerRun{
+		{"clean", pjs.Generate(pjs.CTC(), pjs.GenOptions{Jobs: 250, Seed: 11}), clean},
+		{"mtbf", sdsc, faults},
+		{"transient", sdsc, trans},
+	}
+}
+
+// observerDigestFile holds the SHA-256 that TestObserverArtifactDigest
+// renders.
+const observerDigestFile = "testdata/observer-artifacts.sha256"
+
+// TestObserverArtifactDigest pins every observability artifact across
+// commits: the Sampler CSV, TraceBuilder JSON and Counters dump of every
+// registered policy under each observerRun, hashed together. The
+// double-run tests prove two runs of one binary agree; this proves a
+// refactor of the event path did not change what the sinks export.
+func TestObserverArtifactDigest(t *testing.T) {
+	h := sha256.New()
+	for _, r := range observerRuns() {
+		for _, spec := range pjs.SchedulerSpecs() {
+			s, err := pjs.NewScheduler(spec)
+			if err != nil {
+				t.Fatalf("NewScheduler(%q): %v", spec, err)
+			}
+			tb := obs.NewTraceBuilder(r.trace.Procs)
+			sm := obs.NewSampler(r.trace.Procs)
+			c := obs.NewCounters(s.Name(), r.trace.Procs)
+			opt := r.opt
+			opt.MaxSteps = 50_000_000
+			opt.Observer = obs.NewFanOut(tb, sm, c)
+			if _, err := pjs.SimulateChecked(r.trace, s, opt); err != nil {
+				t.Fatalf("%s/%s: %v", r.name, spec, err)
+			}
+			fmt.Fprintf(h, "=== %s %s ===\n", r.name, spec)
+			if err := sm.WriteCSV(h); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(h, c.String())
+		}
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil))
+	data, err := os.ReadFile(observerDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSpace(string(data)); got != want {
+		t.Fatalf("observer artifacts changed: digest %s, want %s.\n"+
+			"If the change is intended, write the new digest to %s and say so in CHANGES.md.",
+			got, want, observerDigestFile)
+	}
+}
+
+// queueOracle recomputes the sampler's max_queued_xfactor column by
+// brute force: at every event it scans every job that has arrived so
+// far and takes the largest XFactor among those in state Queued,
+// coalescing events of one instant into the last, as the Sampler does.
+type queueOracle struct {
+	arrived []*job.Job
+	times   []int64
+	maxXF   []float64
+	// Coverage of the requeue paths the sampler must track.
+	kills, imagesLost, exhausted int
+}
+
+func (o *queueOracle) Observe(ev sched.Event) {
+	switch ev.Action {
+	case sched.ActArrive:
+		o.arrived = append(o.arrived, ev.Job)
+	case sched.ActKill:
+		o.kills++
+	case sched.ActImageLost:
+		o.imagesLost++
+	case sched.ActIOExhausted:
+		o.exhausted++
+	}
+	m := 0.0
+	for _, j := range o.arrived {
+		if j.State == job.Queued {
+			m = max(m, j.XFactor(ev.Time))
+		}
+	}
+	if n := len(o.times); n > 0 && o.times[n-1] == ev.Time {
+		o.maxXF[n-1] = m
+		return
+	}
+	o.times = append(o.times, ev.Time)
+	o.maxXF = append(o.maxXF, m)
+}
+
+// TestSamplerMaxQueuedXFactorOracle checks the sampler's
+// max_queued_xfactor against queueOracle at the end of every instant,
+// for every registered policy under each observerRun. Between them the
+// runs kill (spec), strand images (MTBF faults) and exhaust I/O retries
+// (transient faults), so every path that returns a job to the queue is
+// covered; the test fails if one of them never fired.
+func TestSamplerMaxQueuedXFactorOracle(t *testing.T) {
+	var total queueOracle
+	for _, r := range observerRuns() {
+		for _, spec := range pjs.SchedulerSpecs() {
+			s, err := pjs.NewScheduler(spec)
+			if err != nil {
+				t.Fatalf("NewScheduler(%q): %v", spec, err)
+			}
+			sm := obs.NewSampler(r.trace.Procs)
+			o := &queueOracle{}
+			opt := r.opt
+			opt.MaxSteps = 50_000_000
+			opt.Observer = obs.NewFanOut(sm, o)
+			if _, err := pjs.SimulateChecked(r.trace, s, opt); err != nil {
+				t.Fatalf("%s/%s: %v", r.name, spec, err)
+			}
+			if len(sm.Samples) != len(o.times) {
+				t.Fatalf("%s/%s: %d samples, oracle saw %d instants",
+					r.name, spec, len(sm.Samples), len(o.times))
+			}
+			for i, smp := range sm.Samples {
+				if smp.Time != o.times[i] || smp.MaxQueuedXFactor != o.maxXF[i] {
+					t.Fatalf("%s/%s: sample %d at t=%d has max_queued_xfactor %v, brute force over the queued jobs at t=%d gives %v",
+						r.name, spec, i, smp.Time, smp.MaxQueuedXFactor, o.times[i], o.maxXF[i])
+				}
+			}
+			total.kills += o.kills
+			total.imagesLost += o.imagesLost
+			total.exhausted += o.exhausted
+		}
+	}
+	if total.kills == 0 || total.imagesLost == 0 || total.exhausted == 0 {
+		t.Fatalf("requeue paths not covered: %d kills, %d images lost, %d exhausted I/O retries",
+			total.kills, total.imagesLost, total.exhausted)
 	}
 }
