@@ -118,8 +118,8 @@ type pkgResult struct {
 
 // lintPackages analyzes the packages with a pool of at most workers
 // goroutines. The loader's singleflight cache makes concurrent Load
-// calls (including the cross-package loads some checks issue) safe and
-// shared; results land in path order, so callers see deterministic
+// calls safe and shared; each worker alone analyzes the package it
+// loaded. Results land in path order, so callers see deterministic
 // output regardless of worker count.
 func lintPackages(loader *lint.Loader, paths []string, checks []lint.Check, workers int) []pkgResult {
 	if workers > len(paths) {

@@ -125,7 +125,7 @@ func TestListMode(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "detrand", "stablesort", "maporder", "errwrite",
-		"exhaustive", "actparity", "globalmut", "timetaint", "seedflow",
+		"exhaustive", "globalmut", "timetaint", "seedflow",
 		"allocfree", "staleignore",
 	} {
 		if !strings.Contains(stdout.String(), name) {

@@ -33,8 +33,6 @@ type CallNode struct {
 // CallGraph returns the package's memoized call graph, building it on
 // first use; all checks share the one instance.
 func (p *Package) CallGraph() *CallGraph {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.cg != nil {
 		return p.cg
 	}

@@ -25,8 +25,6 @@ type CFG struct {
 // declarations, building it on first use. The cache lives on the
 // Package so every check shares one CFG per function.
 func (p *Package) FuncCFG(fd *ast.FuncDecl) *CFG {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.cfgs == nil {
 		p.cfgs = make(map[*ast.FuncDecl]*CFG)
 	}

@@ -47,8 +47,6 @@ type FlowGraph struct {
 // FlowGraph returns the memoized flow graph for a function declared in
 // this package, building it on first use.
 func (p *Package) FlowGraph(fd *ast.FuncDecl) *FlowGraph {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.fgs == nil {
 		p.fgs = map[*ast.FuncDecl]*FlowGraph{}
 	}

@@ -19,7 +19,7 @@
 //
 // Each rule is a Check. The shipped checks are wallclock, detrand,
 // stablesort, maporder (interprocedural), errwrite, exhaustive,
-// actparity, globalmut, staleignore, and the dataflow-backed timetaint,
+// globalmut, staleignore, and the dataflow-backed timetaint,
 // seedflow and allocfree (see their files for the precise semantics).
 // Diagnostics carry exact file:line:col positions and can be
 // suppressed, one site at a time, with a justified directive:
@@ -77,7 +77,6 @@ func AllChecks() []Check {
 		&MaporderCheck{},
 		&ErrwriteCheck{},
 		&ExhaustiveCheck{},
-		&ActparityCheck{},
 		&GlobalmutCheck{},
 		&TimetaintCheck{},
 		&SeedflowCheck{},

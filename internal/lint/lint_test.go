@@ -467,50 +467,6 @@ func unjustified() time.Time {
 	}
 }
 
-// TestActparityFixture runs the cross-package parity check over a
-// three-package fixture loaded under the real import paths: a sched
-// fixture declaring the Action enum, a check fixture missing one replay
-// rule, and an obs fixture missing one counter and one trace mapping.
-// The sched fixture must be loaded first so the sibling packages'
-// `pjs/internal/sched` imports resolve to the fixture enum through the
-// loader cache, not to the real scheduler.
-func TestActparityFixture(t *testing.T) {
-	l := newTestLoader(t)
-	base := filepath.Join("testdata", "src", "actparity")
-	schedPkg, err := l.LoadDir(filepath.Join(base, "sched"), "pjs/internal/sched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range []struct{ dir, asPath string }{
-		{"check", "pjs/internal/check"},
-		{"obs", "pjs/internal/obs"},
-	} {
-		if _, err := l.LoadDir(filepath.Join(base, sub.dir), sub.asPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-	matchWants(t, filepath.Join(base, "sched"),
-		Run(schedPkg, []Check{&ActparityCheck{}}))
-
-	// Cross-check hygiene: none of the three fixture packages may trip
-	// any other rule (the enum switches carry panicking defaults, etc.).
-	var others []Check
-	for _, c := range AllChecks() {
-		if c.Name() != "actparity" {
-			others = append(others, c)
-		}
-	}
-	for _, path := range []string{"pjs/internal/sched", "pjs/internal/check", "pjs/internal/obs"} {
-		p, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range Run(p, others) {
-			t.Errorf("actparity fixture %s trips foreign check: %s", path, d)
-		}
-	}
-}
-
 // TestExhaustiveCatchesDeletedCase reproduces the acceptance criterion
 // end-to-end in miniature: deleting one event-kind case from a dispatch
 // switch (the way a stale switch survives an enum extension) must

@@ -170,14 +170,14 @@ func identDeclaredBefore(p *Package, e ast.Expr, rs *ast.RangeStmt) bool {
 }
 
 // isAuditEmit reports whether the call records an audit-log entry: a
-// method named add/Add/addProc on a value whose named type is AuditLog.
+// method named add or Add on a value whose named type is AuditLog.
 func isAuditEmit(p *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "add", "Add", "addProc":
+	case "add", "Add":
 	default:
 		return false
 	}

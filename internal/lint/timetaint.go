@@ -117,14 +117,14 @@ func isTimingCall(p *Package, call *ast.CallExpr) bool {
 }
 
 // auditEmitSink matches the audit-log emission funnel: a method named
-// add, Add or addProc on a named type AuditLog.
+// add or Add on a named type AuditLog.
 func auditEmitSink(p *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "add", "Add", "addProc":
+	case "add", "Add":
 	default:
 		return "", false
 	}

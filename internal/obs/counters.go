@@ -63,17 +63,12 @@ type Counters struct {
 	// by the job's 16-way category.
 	PerCategory [16]CategoryCounters
 
-	// Backfill-detection state: the queued jobs, as (submit, id) keys.
-	queued []queuedJob
+	// Backfill-detection state: the queued jobs.
+	queued queue
 	// Chain-depth state.
 	chainTime int64
 	chainLen  int64
 	inChain   bool
-}
-
-type queuedJob struct {
-	submit int64
-	id     int
 }
 
 // NewCounters returns an empty counter set for one scheduler on a
@@ -98,15 +93,15 @@ func (c *Counters) Observe(ev sched.Event) {
 		c.inChain = false
 	}
 
+	backfill := c.queued.observe(ev)
 	j := ev.Job
 	switch ev.Action {
 	case sched.ActArrive:
 		c.Arrivals++
-		c.queued = append(c.queued, queuedJob{j.SubmitTime, j.ID})
 	case sched.ActStart:
 		c.Starts++
 		c.PerCategory[j.Category().Index()].Starts++
-		if c.dequeue(j) {
+		if backfill {
 			c.BackfillStarts++
 		}
 	case sched.ActResume:
@@ -125,13 +120,9 @@ func (c *Counters) Observe(ev sched.Event) {
 		c.Kills++
 		c.PerCategory[j.Category().Index()].Kills++
 		c.LostWorkSeconds += ev.LostWork
-		// The killed job returns to the queue as if never run.
-		c.queued = append(c.queued, queuedJob{j.SubmitTime, j.ID})
 	case sched.ActImageLost:
 		c.ImageLosses++
 		c.LostWorkSeconds += ev.LostWork
-		// The stranded job restarts from scratch: back in the queue.
-		c.queued = append(c.queued, queuedJob{j.SubmitTime, j.ID})
 	case sched.ActProcFail:
 		c.ProcFails++
 	case sched.ActProcRepair:
@@ -147,25 +138,6 @@ func (c *Counters) Observe(ev sched.Event) {
 	case sched.ActTick:
 		c.Ticks++
 	}
-}
-
-// dequeue removes j from the queued set and reports whether any job
-// submitted strictly earlier (ties broken by ID, the engine's FCFS
-// order) is still waiting — i.e. whether this start was a backfill.
-func (c *Counters) dequeue(j *job.Job) bool {
-	leapfrogged := false
-	kept := c.queued[:0]
-	for _, q := range c.queued {
-		if q.id == j.ID {
-			continue
-		}
-		if q.submit < j.SubmitTime || (q.submit == j.SubmitTime && q.id < j.ID) {
-			leapfrogged = true
-		}
-		kept = append(kept, q)
-	}
-	c.queued = kept
-	return leapfrogged
 }
 
 // Snapshot returns a copy of the counts with the transient detection

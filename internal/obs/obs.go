@@ -22,7 +22,10 @@
 // write must surface, not silently truncate an exported trace.
 package obs
 
-import "pjs/internal/sched"
+import (
+	"pjs/internal/job"
+	"pjs/internal/sched"
+)
 
 // FanOut broadcasts each event to every sink in order. Compose the
 // sinks a run needs and hand the fan-out to sched.Options.Observer.
@@ -47,4 +50,44 @@ func (f *FanOut) Observe(ev sched.Event) {
 	for _, s := range f.sinks {
 		s.Observe(ev)
 	}
+}
+
+// queue is the set of arrived jobs waiting for processors, as the event
+// stream reveals it: ActArrive, ActKill and ActImageLost put a job in,
+// ActStart takes it out. At the last event of each virtual instant it
+// holds exactly the jobs the engine has in state Queued. Counters keeps
+// one to detect backfills, Sampler one for the max queued xfactor.
+type queue []*job.Job
+
+// observe applies ev to the set. For an ActStart it reports whether a
+// job submitted strictly earlier (ties broken by ID, the engine's FCFS
+// order) is still waiting — whether the start was a backfill.
+func (q *queue) observe(ev sched.Event) (backfill bool) {
+	switch a, j := ev.Action, ev.Job; {
+	case a == sched.ActArrive || a == sched.ActKill || a == sched.ActImageLost:
+		*q = append(*q, j)
+	case a == sched.ActStart:
+		kept := (*q)[:0]
+		for _, w := range *q {
+			if w.ID == j.ID {
+				continue
+			}
+			if w.SubmitTime < j.SubmitTime || (w.SubmitTime == j.SubmitTime && w.ID < j.ID) {
+				backfill = true
+			}
+			kept = append(kept, w)
+		}
+		*q = kept
+	}
+	return backfill
+}
+
+// maxXFactor returns the largest expansion factor (Eq. 2) over the set
+// at time now, or 0 when it is empty.
+func (q queue) maxXFactor(now int64) float64 {
+	m := 0.0
+	for _, j := range q {
+		m = max(m, j.XFactor(now))
+	}
+	return m
 }

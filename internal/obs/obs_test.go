@@ -158,9 +158,9 @@ func TestRegistryMerge(t *testing.T) {
 
 func TestSamplerCoalescesInstants(t *testing.T) {
 	s := NewSampler(8)
-	s.Observe(sched.Event{Time: 10, Busy: 2, Queued: 1})
-	s.Observe(sched.Event{Time: 10, Busy: 4, Queued: 0}) // same instant: overwrite
-	s.Observe(sched.Event{Time: 20, Busy: 4})
+	s.Observe(sched.Event{Time: 10, Action: sched.ActTick, Busy: 2, Queued: 1})
+	s.Observe(sched.Event{Time: 10, Action: sched.ActTick, Busy: 4, Queued: 0}) // same instant: overwrite
+	s.Observe(sched.Event{Time: 20, Action: sched.ActTick, Busy: 4})
 	if len(s.Samples) != 2 {
 		t.Fatalf("%d samples, want 2 (coalesced)", len(s.Samples))
 	}
@@ -171,13 +171,15 @@ func TestSamplerCoalescesInstants(t *testing.T) {
 
 func TestSamplerWriteCSV(t *testing.T) {
 	s := NewSampler(4)
-	s.Observe(sched.Event{Time: 0, Busy: 2, Queued: 1, Running: 1, MaxQueuedXFactor: 1.5})
+	// Submitted at 0 with a 100 s estimate, still queued at 50: xfactor 1.5.
+	j := job.New(1, 0, 100, 100, 1)
+	s.Observe(sched.Event{Time: 50, Action: sched.ActArrive, Job: j, Busy: 2, Queued: 1, Running: 1})
 	var b bytes.Buffer
 	if err := s.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := "time,busy,utilization,queued,running,suspended,max_queued_xfactor\n" +
-		"0,2,0.500000,1,1,0,1.500000\n"
+		"50,2,0.500000,1,1,0,1.500000\n"
 	if b.String() != want {
 		t.Fatalf("CSV = %q, want %q", b.String(), want)
 	}
@@ -198,8 +200,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func TestSamplerWriteCSVPropagatesErrors(t *testing.T) {
 	s := NewSampler(4)
-	s.Observe(sched.Event{Time: 0, Busy: 1})
-	s.Observe(sched.Event{Time: 5, Busy: 2})
+	s.Observe(sched.Event{Time: 0, Action: sched.ActTick, Busy: 1})
+	s.Observe(sched.Event{Time: 5, Action: sched.ActTick, Busy: 2})
 	for n := 0; n <= 2; n++ {
 		if err := s.WriteCSV(&failAfter{n: n}); !errors.Is(err, errSink) {
 			t.Errorf("write failing at chunk %d: err = %v, want errSink", n, err)

@@ -20,13 +20,17 @@ type Sample struct {
 
 // Sampler records a Sample at every engine event, coalescing events
 // that share a virtual instant into the last (settled) state of that
-// instant. It implements sched.Observer.
+// instant. It implements sched.Observer. The max queued xfactor comes
+// from the jobs the sampler has seen queue up, so a sampler attached to
+// a resumed run counts only jobs queued after the resume point.
 type Sampler struct {
 	// Procs is the machine size, the denominator of the utilization
 	// column.
 	Procs int
 	// Samples is the recorded series, strictly increasing in Time.
 	Samples []Sample
+
+	queued queue
 }
 
 // NewSampler returns an empty sampler for a machine of the given size.
@@ -36,13 +40,14 @@ func NewSampler(procs int) *Sampler {
 
 // Observe implements sched.Observer.
 func (s *Sampler) Observe(ev sched.Event) {
+	s.queued.observe(ev)
 	smp := Sample{
 		Time:             ev.Time,
 		Busy:             ev.Busy,
 		Queued:           ev.Queued,
 		Running:          ev.Running,
 		Suspended:        ev.Suspended,
-		MaxQueuedXFactor: ev.MaxQueuedXFactor,
+		MaxQueuedXFactor: s.queued.maxXFactor(ev.Time),
 	}
 	if n := len(s.Samples); n > 0 && s.Samples[n-1].Time == ev.Time {
 		s.Samples[n-1] = smp

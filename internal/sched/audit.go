@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"strings"
-
-	"pjs/internal/job"
 )
 
 // Action is the kind of an audit-log entry.
@@ -60,10 +58,8 @@ const (
 	// job.
 	ActIORestored
 	// ActTick is the periodic scheduler-tick heartbeat. It is emitted
-	// to observers only (Event.Job is nil) and never appears in the
-	// audit log, which records job actions exclusively.
-	//
-	// lint:observer-only — no checker replay rule exists by design.
+	// to observers only (Event.Job is nil) and is neither hashed nor
+	// audited: the audit log records job and processor actions only.
 	ActTick
 )
 
@@ -138,25 +134,18 @@ func (l *AuditLog) String() string {
 	return b.String()
 }
 
-func (l *AuditLog) add(now int64, a Action, j *job.Job, procs []int) {
-	l.Entries = append(l.Entries, Entry{
-		Time:    now,
-		Action:  a,
-		JobID:   j.ID,
-		Procs:   append([]int(nil), procs...),
-		Width:   j.Procs,
-		RunTime: j.RunTime,
-		Submit:  j.SubmitTime,
-	})
-}
-
-// addProc records a processor-level action (fail/repair) with no job
-// subject: JobID is -1 and Procs holds just the processor.
-func (l *AuditLog) addProc(now int64, a Action, p int) {
-	l.Entries = append(l.Entries, Entry{
-		Time:   now,
-		Action: a,
+// add appends the action ev records, copying its processor set. The
+// static job attributes come from ev.Job; a processor-level action
+// (ev.Job nil) is logged with JobID -1.
+func (l *AuditLog) add(ev Event) {
+	ent := Entry{
+		Time:   ev.Time,
+		Action: ev.Action,
 		JobID:  -1,
-		Procs:  []int{p},
-	})
+		Procs:  append([]int(nil), ev.Procs...),
+	}
+	if j := ev.Job; j != nil {
+		ent.JobID, ent.Width, ent.RunTime, ent.Submit = j.ID, j.Procs, j.RunTime, j.SubmitTime
+	}
+	l.Entries = append(l.Entries, ent)
 }

@@ -120,16 +120,20 @@ func mix64(h, v uint64) uint64 {
 	return h
 }
 
-// mixEntry advances the audit-prefix hash by one audit-equivalent
-// entry. The mix covers exactly what AuditLog canonical rendering is
-// keyed on — time, action, job identity and processor set — so equal
-// hashes over equal entry counts imply byte-identical audit prefixes
-// for the same workload.
+// mixEntry advances the audit-prefix hash by one audit entry. The mix
+// covers exactly what AuditLog canonical rendering is keyed on — time,
+// action, job identity (-1 for a processor-level action) and processor
+// set — so equal hashes over equal entry counts imply byte-identical
+// audit prefixes for the same workload.
 //
 //lint:allocfree hashing disabled
-func (e *Env) mixEntry(act Action, id int, procs []int) {
+func (e *Env) mixEntry(act Action, j *job.Job, procs []int) {
 	if !e.hashOn {
 		return
+	}
+	id := -1
+	if j != nil {
+		id = j.ID
 	}
 	h := mix64(e.hash, uint64(e.engine.Now()))
 	h = mix64(h, uint64(act))
@@ -140,46 +144,6 @@ func (e *Env) mixEntry(act Action, id int, procs []int) {
 	}
 	e.hash = h
 	e.hashEntries++
-}
-
-// audit records one job action: watermark hash, audit log, observer.
-// Every audit-equivalent emission site in the driver goes through here
-// (or auditLost/auditProc), so the hash and the log can never drift
-// apart.
-func (e *Env) audit(act Action, j *job.Job, procs []int) {
-	e.mixEntry(act, j.ID, procs)
-	if e.Audit != nil {
-		e.Audit.add(e.engine.Now(), act, j, procs)
-	}
-	if e.obs != nil {
-		e.emit(act, j, procs)
-	}
-}
-
-// auditLost is audit for work-discarding actions, carrying the lost
-// compute seconds to observers (the audit log and hash ignore lost —
-// it is derivable from the entry itself).
-func (e *Env) auditLost(act Action, j *job.Job, procs []int, lost int64) {
-	e.mixEntry(act, j.ID, procs)
-	if e.Audit != nil {
-		e.Audit.add(e.engine.Now(), act, j, procs)
-	}
-	if e.obs != nil {
-		e.emitLost(act, j, procs, lost)
-	}
-}
-
-// auditProc records a processor-level action (fail/repair): JobID -1,
-// the processor as the set.
-func (e *Env) auditProc(act Action, p int) {
-	set := [1]int{p}
-	e.mixEntry(act, -1, set[:])
-	if e.Audit != nil {
-		e.Audit.addProc(e.engine.Now(), act, p)
-	}
-	if e.obs != nil {
-		e.emit(act, nil, []int{p})
-	}
 }
 
 // snapshot captures the current watermark.

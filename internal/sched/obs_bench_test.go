@@ -13,7 +13,7 @@ import (
 )
 
 // benchTrace is the shared workload for the observer-cost benchmarks;
-// SS under disk overhead exercises every emit call site (starts,
+// SS under disk overhead exercises every record call site (starts,
 // suspends, resumes, ticks).
 func benchTrace() *workload.Trace {
 	return workload.Generate(workload.SDSC(),
@@ -22,9 +22,9 @@ func benchTrace() *workload.Trace {
 
 // BenchmarkRunObserverNil is the uninstrumented baseline. Compare with
 // BenchmarkRunObserverFanout: the acceptance bar for the observer layer
-// is that this benchmark is unaffected by its existence (every call
-// site is guarded, no Event is ever built) and that the fan-out costs
-// only what its sinks cost.
+// is that this benchmark is unaffected by its existence (with no sink
+// attached record builds no Event) and that the fan-out costs only
+// what its sinks cost.
 func BenchmarkRunObserverNil(b *testing.B) {
 	trace := benchTrace()
 	b.ReportAllocs()

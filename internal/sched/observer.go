@@ -2,12 +2,12 @@ package sched
 
 import "pjs/internal/job"
 
-// Event is one engine-level observation, published to the Observer hook
-// at exactly the points where the audit log records actions (plus
-// ActTick heartbeats, which the audit log omits). The snapshot fields
-// describe the machine state *after* the action took effect, so a sink
-// that records the last event of each virtual instant sees the settled
-// end-of-instant state.
+// Event is the one record of a scheduler action. Env.record builds it
+// once per action and hands the same value to the audit log and to the
+// Observer hook; ActTick heartbeats reach the observer only. The
+// snapshot fields describe the machine state *after* the action took
+// effect, so a sink that records the last event of each virtual instant
+// sees the settled end-of-instant state.
 //
 // Events are passed by value and never retained by the engine; the
 // Procs slice aliases the job's live processor set, so a sink that
@@ -15,14 +15,15 @@ import "pjs/internal/job"
 type Event struct {
 	// Time is the virtual time of the action.
 	Time int64
-	// Action is the audit-log action kind (ActArrive … ActKill), or
-	// ActTick for the periodic scheduler tick.
+	// Action is the kind of action: any of the Action constants, ActTick
+	// being the periodic scheduler tick.
 	Action Action
 	// Job is the subject of the action; nil for ActTick and the
-	// processor-level ActProcFail/ActProcRepair.
+	// processor-level actions (ActProcFail, ActProcRepair, ActIODegraded,
+	// ActIORestored).
 	Job *job.Job
 	// Procs is the job's processor set at the action (shared, do not
-	// retain); nil for arrivals and ticks. For ActProcFail/ActProcRepair
+	// retain); nil for arrivals and ticks. For a processor-level action
 	// it holds the one affected processor.
 	Procs []int
 	// Busy is the number of processors owned by jobs after the action
@@ -45,16 +46,13 @@ type Event struct {
 	// Suspended counts preempted jobs: state Suspending (image still
 	// being written) plus state Suspended.
 	Suspended int
-	// MaxQueuedXFactor is the largest expansion factor (Eq. 2) over the
-	// queued jobs at Time, or 0 when the queue is empty — the pressure
-	// signal the SS/TSS preemption routine acts on.
-	MaxQueuedXFactor float64
 }
 
 // Observer receives engine events. Set one via Options.Observer; nil
-// (the default) costs nothing — every emission site is guarded by a
-// nil check and the nil path performs no allocations (asserted by
-// TestNilObserverEmitZeroAllocs and BenchmarkRunObserverNil).
+// (the default) costs nothing — record builds no Event when neither an
+// observer nor an audit log wants one, and performs no allocations then
+// (asserted by TestNilObserverEmitZeroAllocs and
+// BenchmarkRunObserverNil).
 //
 // Determinism contract: an Observer must be a pure sink in virtual
 // time. It must not mutate jobs or scheduler state, read the wall
@@ -68,44 +66,39 @@ type Observer interface {
 	Observe(ev Event)
 }
 
-// emit publishes one event to the observer. The nil guard is first so
-// that an unobserved run pays only a predicted branch; the snapshot
-// scan (O(jobs) for the max queued xfactor) runs only when a sink is
-// attached.
+// record is the one path every scheduler action takes. In order, it
+// mixes the action into the watermark hash, builds one Event, appends
+// it to the audit log if one is kept, and hands it to the observer if
+// one is attached. lost is the compute seconds the action discarded
+// (Event.LostWork). ActTick is neither hashed nor audited, so an
+// unobserved tick builds no Event.
 //
-//lint:allocfree nil observer
-func (e *Env) emit(act Action, j *job.Job, procs []int) {
-	e.emitLost(act, j, procs, 0)
-}
-
-// emitLost is emit with an explicit lost-work annotation, used by the
-// failure paths; the common emit wrapper passes zero.
-//
-//lint:allocfree nil observer
-func (e *Env) emitLost(act Action, j *job.Job, procs []int, lost int64) {
-	if e.obs == nil {
+//lint:allocfree no audit log, no observer, hashing disabled
+func (e *Env) record(act Action, j *job.Job, procs []int, lost int64) {
+	audited := act != ActTick
+	if audited {
+		e.mixEntry(act, j, procs)
+	}
+	logged := audited && e.Audit != nil
+	if !logged && e.obs == nil {
 		return
 	}
-	now := e.engine.Now()
-	maxXF := 0.0
-	for _, q := range e.jobs {
-		if q.State == job.Queued && q.SubmitTime <= now {
-			if xf := q.XFactor(now); xf > maxXF {
-				maxXF = xf
-			}
-		}
+	ev := Event{
+		Time:      e.engine.Now(),
+		Action:    act,
+		Job:       j,
+		Procs:     procs,
+		Busy:      e.Cluster.Busy(),
+		Up:        e.Cluster.UpCount(),
+		LostWork:  lost,
+		Queued:    e.nQueued,
+		Running:   e.nRunning,
+		Suspended: e.nSuspended,
 	}
-	e.obs.Observe(Event{
-		Time:             now,
-		Action:           act,
-		Job:              j,
-		Procs:            procs,
-		Busy:             e.Cluster.Busy(),
-		Up:               e.Cluster.UpCount(),
-		LostWork:         lost,
-		Queued:           e.nQueued,
-		Running:          e.nRunning,
-		Suspended:        e.nSuspended,
-		MaxQueuedXFactor: maxXF,
-	})
+	if logged {
+		e.Audit.add(ev)
+	}
+	if e.obs != nil {
+		e.obs.Observe(ev)
+	}
 }

@@ -3,18 +3,17 @@ package sched
 import "testing"
 
 // TestNilObserverEmitZeroAllocs pins the cost of running uninstrumented:
-// with Options.Observer nil, the observation path must not allocate. The
-// call sites additionally guard each emit behind `if e.obs != nil`, so
-// an uninstrumented run never even builds an Event; this test drives
-// emit directly to prove the hook itself is free, and
+// with no audit log, no observer and hashing off, record must return
+// before it builds an Event and must not allocate. This test drives
+// record directly to prove the recording path itself is free, and
 // BenchmarkRunObserverNil (package sched_test) pins the end-to-end
 // throughput claim.
 func TestNilObserverEmitZeroAllocs(t *testing.T) {
-	e := &Env{} // obs nil: emit must return before touching the engine
+	e := &Env{} // no sinks: record must return before touching the engine
 	if n := testing.AllocsPerRun(1000, func() {
-		e.emit(ActStart, nil, nil)
+		e.record(ActStart, nil, nil, 0)
 	}); n != 0 {
-		t.Fatalf("emit with nil observer allocated %v times per event, want 0", n)
+		t.Fatalf("record with no audit log or observer allocated %v times per event, want 0", n)
 	}
 }
 

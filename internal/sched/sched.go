@@ -90,8 +90,8 @@ type Options struct {
 	ContiguousAlloc bool
 	// Observer receives engine events (package obs provides counter,
 	// time-series and trace sinks plus a fan-out). nil disables
-	// observation at zero cost: every emission site is nil-guarded and
-	// allocates nothing.
+	// observation at zero cost: without an observer or an audit log no
+	// Event is built and nothing is allocated.
 	Observer Observer
 	// Probe accumulates per-phase wall-clock timing of the scheduler hot
 	// path (event dispatch, queue scans, backfill windows, victim
@@ -377,7 +377,7 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	if wasSuspended {
 		act = ActResume
 	}
-	e.audit(act, j, j.ProcSet)
+	e.record(act, j, j.ProcSet, 0)
 }
 
 // PreemptAndStart suspends the victim jobs and commits j to start on
@@ -413,7 +413,7 @@ func (e *Env) Kill(j *job.Job) {
 	e.Cluster.Release(e.Now(), j.ID, set)
 	e.nRunning--
 	e.nQueued++
-	e.audit(ActKill, j, set)
+	e.record(ActKill, j, set, 0)
 	e.activatePending()
 }
 
@@ -432,7 +432,7 @@ func (e *Env) beginSuspend(v *job.Job) {
 	v.Preempt(e.Now())
 	e.nRunning--
 	e.nSuspended++
-	e.audit(ActSuspendBegin, v, v.ProcSet)
+	e.record(ActSuspendBegin, v, v.ProcSet, 0)
 	if e.trans != nil {
 		e.ioAttempts[v.ID] = 1
 	}
@@ -465,7 +465,7 @@ func (e *Env) HandleArrival(j *job.Job) {
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
 	e.nQueued++
-	e.audit(ActArrive, j, nil)
+	e.record(ActArrive, j, nil, 0)
 	e.sched.OnArrival(j)
 }
 
@@ -476,7 +476,7 @@ func (e *Env) HandleCompletion(j *job.Job) {
 	j.Complete(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
 	e.nRunning--
-	e.audit(ActFinish, j, j.ProcSet)
+	e.record(ActFinish, j, j.ProcSet, 0)
 	e.engine.JobFinished()
 	e.activatePending()
 	e.sched.OnCompletion(j)
@@ -494,12 +494,12 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 			e.recordIOFailures(failing)
 			if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
 				e.ioRetries++
-				e.audit(ActIORetry, j, j.ProcSet)
+				e.record(ActIORetry, j, j.ProcSet, 0)
 				e.ioAttempts[j.ID] = attempt + 1
 				e.engine.ScheduleIORetry(j, e.Now()+e.trans.Config().Backoff(attempt))
 			} else {
 				e.ioExhaustions++
-				e.audit(ActIOExhausted, j, j.ProcSet)
+				e.record(ActIOExhausted, j, j.ProcSet, 0)
 				e.failIOTerminal(j, failing[0])
 			}
 			return
@@ -507,7 +507,7 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 	}
 	j.SuspendDone()
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
-	e.audit(ActSuspendDone, j, j.ProcSet)
+	e.record(ActSuspendDone, j, j.ProcSet, 0)
 	e.activatePending()
 	e.sched.OnSuspendDone(j)
 }
@@ -522,7 +522,7 @@ func (e *Env) HandleReadDone(j *job.Job) {
 		e.recordIOFailures(failing)
 		if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
 			e.ioRetries++
-			e.audit(ActIORetry, j, j.ProcSet)
+			e.record(ActIORetry, j, j.ProcSet, 0)
 			backoff := e.trans.Config().Backoff(attempt)
 			// The backoff wait plus the repeated read occupy the
 			// processors without compute progress.
@@ -531,7 +531,7 @@ func (e *Env) HandleReadDone(j *job.Job) {
 			e.engine.ScheduleIORetry(j, e.Now()+backoff)
 		} else {
 			e.ioExhaustions++
-			e.audit(ActIOExhausted, j, j.ProcSet)
+			e.record(ActIOExhausted, j, j.ProcSet, 0)
 			e.failIOTerminal(j, failing[0])
 		}
 		return
@@ -572,7 +572,7 @@ func (e *Env) failIOTerminal(j *job.Job, p int) {
 	}
 	e.nQueued++
 	e.lostWork += lost
-	e.auditLost(ActKill, j, set, lost)
+	e.record(ActKill, j, set, lost)
 	e.activatePending()
 	e.sched.OnFailure(p, []*job.Job{j})
 }
@@ -584,7 +584,7 @@ func (e *Env) recordIOFailures(failing []int) {
 	for _, p := range failing {
 		if e.health.RecordFailure(now, p) {
 			e.ioDegradations++
-			e.auditProc(ActIODegraded, p)
+			e.record(ActIODegraded, nil, []int{p}, 0)
 		}
 	}
 }
@@ -599,7 +599,7 @@ func (e *Env) sweepIOHealth() {
 	}
 	for _, p := range e.health.Sweep(e.Now()) {
 		e.ioRestores++
-		e.auditProc(ActIORestored, p)
+		e.record(ActIORestored, nil, []int{p}, 0)
 	}
 }
 
@@ -631,7 +631,7 @@ func (e *Env) HandleProcFail(p int) {
 	now := e.Now()
 	e.Cluster.Fail(now, p)
 	e.failures++
-	e.auditProc(ActProcFail, p)
+	e.record(ActProcFail, nil, []int{p}, 0)
 
 	var requeued []*job.Job
 	// Abort pending starts whose claimed set includes p. The claim can
@@ -665,7 +665,7 @@ func (e *Env) HandleProcFail(p int) {
 		e.nQueued++
 		e.failKills++
 		e.lostWork += lost
-		e.auditLost(ActKill, v, set, lost)
+		e.record(ActKill, v, set, lost)
 		requeued = append(requeued, v)
 	}
 
@@ -683,7 +683,7 @@ func (e *Env) HandleProcFail(p int) {
 		e.nQueued++
 		e.imagesLost++
 		e.lostWork += lost
-		e.auditLost(ActImageLost, j, set, lost)
+		e.record(ActImageLost, j, set, lost)
 		requeued = append(requeued, j)
 	}
 	requeued = dedupeJobs(requeued)
@@ -715,7 +715,7 @@ func (e *Env) HandleProcRepair(p int) {
 	now := e.Now()
 	e.Cluster.Repair(now, p)
 	e.repairs++
-	e.auditProc(ActProcRepair, p)
+	e.record(ActProcRepair, nil, []int{p}, 0)
 	e.engine.ScheduleProcFail(p, now+e.faults.FailDelay(p))
 	e.sched.OnRepair(p)
 }
@@ -755,9 +755,7 @@ func dedupeJobs(jobs []*job.Job) []*job.Job {
 // preemption routine is about to act on.
 func (e *Env) HandleTick() {
 	e.sweepIOHealth()
-	if e.obs != nil {
-		e.emit(ActTick, nil, nil)
-	}
+	e.record(ActTick, nil, nil, 0)
 	e.sched.OnTick()
 }
 

@@ -18,9 +18,9 @@ import (
 // TestCountersMatchAuditLog cross-validates the observer path against
 // the audit path: for every registered policy, one instrumented audited
 // run, then a replay of AuditLog.Entries must reproduce the observer's
-// action counts exactly. The two records are produced by independent
-// code paths off the same engine events, so any drift (a missed emit
-// call site, a double count) shows up as a mismatch here.
+// action counts exactly. Both are fed the same Event by one record
+// call, so a mismatch means the audit log and the Counters mapping
+// disagree about an action (a dropped or double-counted kind).
 func TestCountersMatchAuditLog(t *testing.T) {
 	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 300, Seed: 7})
 	for _, spec := range pjs.SchedulerSpecs() {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification gate. CI runs exactly this; run it locally before
 # pushing. The pjslint step enforces the determinism invariants
-# (wallclock/detrand/stablesort/maporder/errwrite — see DESIGN.md,
+# (`go run ./cmd/pjslint -list` names every check; see DESIGN.md,
 # "Determinism invariants & static analysis"); the -race test run
 # includes the double-run audit-log determinism regression for every
 # scheduler in the registry.
