@@ -67,10 +67,6 @@ func (p *Package) CallGraph() *CallGraph {
 	return g
 }
 
-// Node returns the graph node for a function declared in this package,
-// or nil for external or undeclared functions.
-func (g *CallGraph) Node(fn *types.Func) *CallNode { return g.nodes[fn] }
-
 // Nodes visits every node in unspecified (map) order; callers needing
 // deterministic output must sort what they collect by position.
 func (g *CallGraph) Nodes(visit func(*CallNode)) {

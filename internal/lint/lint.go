@@ -9,18 +9,18 @@
 //
 // The suite is built on go/parser, go/ast and go/types with a
 // module-aware loader (see Loader) so that go.mod stays dependency-free.
-// On top of the loader sit shared whole-program structures — a
-// per-function control-flow summary (CFG, cfg.go), a type-resolved
-// call graph (CallGraph, callgraph.go), and a dataflow framework
-// (dataflow.go: basic-block flow graphs, a generic forward worklist
-// solver, def-use chains) carrying a taint engine with interprocedural
-// function summaries (taint.go) — built lazily per package and
-// memoized, so every check analyzes the same type-checked artifacts.
+// On top of the loader sit two shared structures — a per-function
+// control-flow summary (CFG, cfg.go) and a type-resolved call graph
+// (CallGraph, callgraph.go) — built lazily per package and memoized,
+// so every check analyzes the same type-checked artifacts.
 //
 // Each rule is a Check. The shipped checks are wallclock, detrand,
 // stablesort, maporder (interprocedural), errwrite, exhaustive,
-// globalmut, staleignore, and the dataflow-backed timetaint,
-// seedflow and allocfree (see their files for the precise semantics).
+// globalmut and staleignore (see their files for the precise
+// semantics). The flow properties a static rule would have to
+// approximate — timing never reaching a run's outputs, seeds derived
+// from configuration only, allocation-free fast paths — are enforced
+// by runtime tests instead (DESIGN.md, invariants 9–11).
 // Diagnostics carry exact file:line:col positions and can be
 // suppressed, one site at a time, with a justified directive:
 //
@@ -78,9 +78,6 @@ func AllChecks() []Check {
 		&ErrwriteCheck{},
 		&ExhaustiveCheck{},
 		&GlobalmutCheck{},
-		&TimetaintCheck{},
-		&SeedflowCheck{},
-		&AllocfreeCheck{},
 		&StaleignoreCheck{},
 	}
 }

@@ -94,9 +94,6 @@ var fixtureCases = []struct {
 	{check: "errwrite", dir: "errwrite_obs", asPath: "pjs/internal/obs/fixture"},
 	{check: "exhaustive", dir: "exhaustive", asPath: "pjs/internal/fixture/exhaustive"},
 	{check: "globalmut", dir: "globalmut", asPath: "pjs/internal/sim/fixture/globalmut"},
-	{check: "timetaint", dir: "timetaint", asPath: "pjs/internal/fixture/timetaint"},
-	{check: "seedflow", dir: "seedflow", asPath: "pjs/internal/fixture/seedflow"},
-	{check: "allocfree", dir: "allocfree", asPath: "pjs/internal/fixture/allocfree"},
 	{check: "staleignore", dir: "staleignore", asPath: "pjs/internal/fixture/staleignore", full: true},
 }
 
@@ -275,158 +272,6 @@ func stamp() int64 {
 	d := diags[0]
 	if d.Check != "wallclock" || !strings.Contains(d.Message, "time.Now reads the wall clock") {
 		t.Errorf("want wallclock finding on time.Now, got %s", d)
-	}
-}
-
-// TestTimetaintCatchesClockIntoCheckpoint reproduces the acceptance
-// criterion end-to-end in miniature: a perf-clock reading flowing into
-// a checkpoint payload under a sched path must yield a timetaint
-// finding even under the full suite.
-func TestTimetaintCatchesClockIntoCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	src := `package ckpt
-
-type Clock func() int64
-
-type Snapshot struct {
-	Now int64
-}
-
-func capture(c Clock) Snapshot {
-	t := c()
-	return Snapshot{Now: t}
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "ckpt.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/internal/sched/ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "timetaint" || !strings.Contains(d.Message, "timing value flows into a checkpoint payload") {
-		t.Errorf("want timetaint finding on the snapshot literal, got %s", d)
-	}
-}
-
-// TestSeedflowCatchesTimeSeed reproduces the canonical seed bug: an RNG
-// seeded from the wall clock. The fixture corpus cannot carry this
-// shape (it sits under pjs/internal/, where importing time trips
-// wallclock), so the time-derived seed is pinned here under a path
-// outside the wallclock scope.
-func TestSeedflowCatchesTimeSeed(t *testing.T) {
-	dir := t.TempDir()
-	src := `package seedtool
-
-import (
-	"math/rand"
-	"time"
-)
-
-func fresh() *rand.Rand {
-	return rand.New(rand.NewSource(time.Now().UnixNano()))
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "seed.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/tools/seedtool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "seedflow" || !strings.Contains(d.Message, "flows into an RNG seed (math/rand.NewSource)") {
-		t.Errorf("want seedflow finding on the seeded source, got %s", d)
-	}
-}
-
-// TestAllocfreeCatchesAllocBeforeGuard reproduces the regression the
-// marker exists for: an allocation slipped in front of the nil guard of
-// a marked fast path.
-func TestAllocfreeCatchesAllocBeforeGuard(t *testing.T) {
-	dir := t.TempDir()
-	src := `package obsfast
-
-import "fmt"
-
-type Env struct {
-	tag string
-}
-
-//lint:allocfree nil env
-func (e *Env) emit(v int) {
-	msg := fmt.Sprintf("v=%d", v)
-	if e == nil {
-		return
-	}
-	e.tag = msg
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "emit.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/internal/sched/obsfast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "allocfree" || !strings.Contains(d.Message, "fmt.Sprintf allocates on the //lint:allocfree fast path of emit") {
-		t.Errorf("want allocfree finding on the pre-guard Sprintf, got %s", d)
-	}
-}
-
-// TestAllocfreeMarkerShapes pins marker well-formedness: a
-// condition-less doc marker and a marker stranded inside a body are
-// both diagnostics. (Tested here rather than in the fixture corpus
-// because a want comment appended to the marker line would read as its
-// condition.)
-func TestAllocfreeMarkerShapes(t *testing.T) {
-	dir := t.TempDir()
-	src := `package perfx
-
-//lint:allocfree
-func bare() int {
-	return 0
-}
-
-func stray() int {
-	//lint:allocfree misplaced
-	return 0
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "perfx.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/internal/perf/perfx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, []Check{&AllocfreeCheck{}})
-	if len(diags) != 2 {
-		t.Fatalf("want exactly 2 diagnostics, got %d: %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, "needs a condition") {
-		t.Errorf("first diagnostic should demand a condition: %s", diags[0])
-	}
-	if !strings.Contains(diags[1].Message, "must sit in the doc comment") {
-		t.Errorf("second diagnostic should reject the stray marker: %s", diags[1])
 	}
 }
 

@@ -32,7 +32,6 @@ type Package struct {
 	// this package touches them, so they need no lock.
 	cg   *CallGraph
 	cfgs map[*ast.FuncDecl]*CFG
-	fgs  map[*ast.FuncDecl]*FlowGraph
 }
 
 // Loader parses and type-checks packages of the enclosing module using

@@ -7,21 +7,24 @@ import (
 
 // TestNilProbeZeroAllocs pins the disabled-probe fast path: with no
 // probe attached (the default for every simulation), the span calls
-// instrumentation sites make must not allocate — the analogue of
-// TestNilObserverEmitZeroAllocs for the observer hook.
+// instrumentation sites make and a snapshot of the empty totals must
+// not allocate — the analogue of TestNilObserverEmitZeroAllocs for the
+// observer hook.
 func TestNilProbeZeroAllocs(t *testing.T) {
 	var p *Probe
+	var s Stats
 	if n := testing.AllocsPerRun(1000, func() {
 		start := p.Begin()
 		p.End(PhaseQueueScan, start)
+		s = p.Snapshot()
 	}); n != 0 {
-		t.Fatalf("nil probe Begin/End allocated %v times per span, want 0", n)
+		t.Fatalf("nil probe Begin/End/Snapshot allocated %v times per span, want 0", n)
+	}
+	if s != (Stats{}) {
+		t.Fatalf("nil probe snapshot = %+v, want zero", s)
 	}
 	if p.Enabled() {
 		t.Fatal("nil probe reports Enabled")
-	}
-	if s := p.Snapshot(); s != (Stats{}) {
-		t.Fatalf("nil probe snapshot = %+v, want zero", s)
 	}
 }
 

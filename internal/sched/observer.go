@@ -72,8 +72,6 @@ type Observer interface {
 // one is attached. lost is the compute seconds the action discarded
 // (Event.LostWork). ActTick is neither hashed nor audited, so an
 // unobserved tick builds no Event.
-//
-//lint:allocfree no audit log, no observer, hashing disabled
 func (e *Env) record(act Action, j *job.Job, procs []int, lost int64) {
 	audited := act != ActTick
 	if audited {

@@ -1,19 +1,43 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"pjs/internal/job"
+	"pjs/internal/sim"
+)
 
 // TestNilObserverEmitZeroAllocs pins the cost of running uninstrumented:
-// with no audit log, no observer and hashing off, record must return
-// before it builds an Event and must not allocate. This test drives
+// with no audit log and no observer, record must return before it
+// builds an Event and must not allocate, both with hashing off and with
+// the watermark hash on (a checkpointed or resumed run), where every
+// action is folded through mixEntry and mix64 first. This test drives
 // record directly to prove the recording path itself is free, and
 // BenchmarkRunObserverNil (package sched_test) pins the end-to-end
 // throughput claim.
 func TestNilObserverEmitZeroAllocs(t *testing.T) {
-	e := &Env{} // no sinks: record must return before touching the engine
-	if n := testing.AllocsPerRun(1000, func() {
-		e.record(ActStart, nil, nil, 0)
-	}); n != 0 {
-		t.Fatalf("record with no audit log or observer allocated %v times per event, want 0", n)
+	j := job.New(7, 0, 600, 600, 3)
+	procs := []int{4, 5, 6}
+	for _, tc := range []struct {
+		name string
+		env  *Env
+	}{
+		// No sinks and no hash: record must return before touching the
+		// engine.
+		{"hashing off", &Env{}},
+		{"hashing on", &Env{hashOn: true, engine: sim.New(nil, 0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.env
+			if n := testing.AllocsPerRun(1000, func() {
+				e.record(ActStart, j, procs, 0)
+			}); n != 0 {
+				t.Fatalf("record with no audit log or observer allocated %v times per event, want 0", n)
+			}
+			if e.hashOn && e.hashEntries == 0 {
+				t.Fatal("hashing on, but record mixed no entries")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"testing"
 
+	"pjs"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
 	"pjs/internal/sched/ss"
@@ -19,29 +20,66 @@ func probeTrace() *workload.Trace {
 	return workload.Generate(m, workload.GenOptions{Jobs: 120, Seed: 7})
 }
 
-// TestProbeDoesNotPerturbRun is the determinism acceptance criterion:
-// the audit log of a run with a probe attached is byte-identical to the
-// unprobed run's, and two probed runs agree with each other. Timing
-// lives strictly outside the audit log, the watermark hash and the
-// observer stream, so profiling can never change what a run computes.
+// TestProbeDoesNotPerturbRun is the determinism acceptance criterion
+// for profiling (INV-timetaint): under every registered policy, a run
+// with a probe attached must match the unprobed run on the audit log
+// and on every checkpoint Snapshot — its event count, virtual time and
+// audit-prefix hash. Checkpointing every few events turns the
+// watermark hash on, so timing that leaks into the hash is caught as
+// well as timing that leaks into an audit entry or a checkpoint. One
+// probed run reads a counting clock, so a leak changes the outputs
+// deterministically; the other reads the real monotonic clock.
 func TestProbeDoesNotPerturbRun(t *testing.T) {
 	tr := probeTrace()
-	opt := sched.Options{Audit: true}
-	plain := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-
-	opt.Probe = perf.NewProbe(nil)
-	probed1 := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-	opt.Probe = perf.NewProbe(nil)
-	probed2 := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-
-	if plain.Audit.String() != probed1.Audit.String() {
-		t.Fatal("audit log diverges when a probe is attached")
-	}
-	if probed1.Audit.String() != probed2.Audit.String() {
-		t.Fatal("two probed runs produced different audit logs")
-	}
-	if plain.Events != probed1.Events || plain.Events == 0 {
-		t.Fatalf("event counts diverge: plain=%d probed=%d", plain.Events, probed1.Events)
+	for _, spec := range pjs.SchedulerSpecs() {
+		t.Run(spec, func(t *testing.T) {
+			run := func(p *perf.Probe) (*sched.Result, []sched.Snapshot) {
+				s, err := pjs.NewScheduler(spec)
+				if err != nil {
+					t.Fatalf("NewScheduler(%q): %v", spec, err)
+				}
+				var snaps []sched.Snapshot
+				res := sched.Run(tr, s, sched.Options{
+					Audit: true,
+					Probe: p,
+					Checkpoint: &sched.CheckpointConfig{Every: 7, Save: func(s sched.Snapshot) error {
+						snaps = append(snaps, s)
+						return nil
+					}},
+				})
+				return res, snaps
+			}
+			var reads int64
+			counting := perf.NewProbe(func() int64 { reads += 7919; return reads })
+			plain, plainSnaps := run(nil)
+			if plain.Events == 0 || len(plainSnaps) == 0 {
+				t.Fatalf("run processed %d events and saved %d snapshots", plain.Events, len(plainSnaps))
+			}
+			for _, probe := range []struct {
+				name string
+				p    *perf.Probe
+			}{{"counting clock", counting}, {"monotonic clock", perf.NewProbe(nil)}} {
+				res, snaps := run(probe.p)
+				if res.Audit.String() != plain.Audit.String() {
+					t.Errorf("%s: audit log diverges when a probe is attached:\n%s",
+						probe.name, firstDiff(plain.Audit.String(), res.Audit.String()))
+				}
+				if res.Events != plain.Events {
+					t.Errorf("%s: event counts diverge: plain=%d probed=%d", probe.name, plain.Events, res.Events)
+				}
+				if len(snaps) != len(plainSnaps) {
+					t.Fatalf("%s: %d checkpoint snapshots, plain run saved %d", probe.name, len(snaps), len(plainSnaps))
+				}
+				for i := range snaps {
+					if snaps[i] != plainSnaps[i] {
+						t.Fatalf("%s: checkpoint %d diverges: plain %+v, probed %+v", probe.name, i, plainSnaps[i], snaps[i])
+					}
+				}
+			}
+			if reads == 0 {
+				t.Error("the counting probe was never read")
+			}
+		})
 	}
 }
 
